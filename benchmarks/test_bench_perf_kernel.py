@@ -18,6 +18,7 @@ import os
 import pathlib
 
 from repro.experiments.artifacts_perf import (
+    EXACT_METRICS,
     RATE_METRICS,
     compare_to_baseline,
     load_baseline,
@@ -44,7 +45,7 @@ def test_perf_kernel_suite(capsys):
     write_bench_json(payload, GENERATED_DIR / "BENCH_core.json")
 
     results = payload["results"]
-    for metric in RATE_METRICS:
+    for metric in RATE_METRICS + EXACT_METRICS:
         assert results[metric] > 0, f"{metric} did not measure"
     # Lazy cancellation keeps the abandoned-timer heap bounded: the churn
     # benchmark abandons 1s timers at a >=100k/s simulated rate, so an

@@ -33,7 +33,7 @@ from typing import Deque, List, Optional
 from repro.calibration import Calibration, DEFAULT_CALIBRATION
 from repro.cpu.accounting import CPUCounters, CPUSnapshot
 from repro.errors import SimulationError
-from repro.sim.core import Environment, Event
+from repro.sim.core import PRIORITY_URGENT, Environment, Event
 
 __all__ = ["CPU", "SimThread"]
 
@@ -42,24 +42,27 @@ _RUNNING = 1
 _DONE = 2
 
 
-class _Burst:
-    """One submitted unit of CPU work (possibly sliced across quanta)."""
+class _Burst(Event):
+    """One submitted unit of CPU work (possibly sliced across quanta).
+
+    The burst is itself the event its submitter waits on: it succeeds when
+    the work is done.
+    """
 
     __slots__ = (
         "thread",
         "remaining_user",
         "remaining_system",
-        "done",
         "preempted",
         "state",
         "token",
     )
 
-    def __init__(self, thread: "SimThread", user: float, system: float, done: Event):
+    def __init__(self, thread: "SimThread", user: float, system: float):
+        Event.__init__(self, thread.cpu.env)
         self.thread = thread
         self.remaining_user = user
         self.remaining_system = system
-        self.done = done
         self.preempted = False
         self.state = _QUEUED
         #: Current ready-queue entry (a one-slot list, cleared on take so
@@ -81,17 +84,121 @@ class _Burst:
 
 
 class _Core:
-    """Per-core dispatch state."""
+    """One core's dispatch state machine, driven by kernel callbacks.
 
-    __slots__ = ("index", "last_thread", "busy", "slice_left", "wakeup", "last_preempted")
+    Every step ends by arming a single pooled timer whose only callback is
+    the next step (or by parking the core on the CPU's idle list), so the
+    core never needs a process of its own.  A completed burst hands back
+    through :meth:`~repro.sim.core.Environment.succeed_in_place`, which
+    resumes the waiter -- and then this core -- without heap round trips
+    whenever that is exactly what the heap would have popped next.
+    """
 
-    def __init__(self, index: int, time_slice: float):
-        self.index = index
+    __slots__ = (
+        "cpu",
+        "env",
+        "last_thread",
+        "busy",
+        "slice_left",
+        "last_preempted",
+        "burst",
+        "dispatch_cb",
+        "run_cb",
+        "finish_cb",
+    )
+
+    def __init__(self, cpu: "CPU"):
+        self.cpu = cpu
+        self.env = cpu.env
         self.last_thread: Optional[SimThread] = None
         self.busy = False
-        self.slice_left = time_slice
-        self.wakeup: Optional[Event] = None
+        self.slice_left = cpu.calibration.time_slice
         self.last_preempted = False
+        #: The burst this core is running (``None`` while idle).
+        self.burst: Optional[_Burst] = None
+        # One bound method per step, registered on every timer this core
+        # arms (see Process._resume_cb for the same allocation saving).
+        self.dispatch_cb = self.dispatch
+        self.run_cb = self.run_quantum
+        self.finish_cb = self.finish
+
+    def dispatch(self, _event: Optional[Event] = None) -> None:
+        """Pick the next burst (sticky thread first, then FIFO) and start
+        it, charging a context switch when the thread changes."""
+        cpu = self.cpu
+        burst = cpu._take_sticky(self)
+        sticky = burst is not None
+        if burst is None:
+            burst = cpu._pop_ready()
+            if burst is None:
+                self.busy = False
+                cpu._idle_cores.append(self)
+                return
+
+        self.busy = True
+        burst.state = _RUNNING
+        self.burst = burst
+        if not sticky:
+            calib = cpu.calibration
+            if self.last_thread is not burst.thread:
+                cost = calib.context_switch_cost(cpu.runnable_count)
+                counters = cpu.counters
+                counters.context_switches += 1
+                if self.last_preempted:
+                    counters.involuntary_switches += 1
+                else:
+                    counters.voluntary_switches += 1
+                counters.switch_time += cost
+                counters.busy_system += cost
+                self.last_thread = burst.thread
+                self.slice_left = calib.time_slice
+                if cost > 0:
+                    # Pooled: a core keeps no reference to its timers and is
+                    # never interrupted (see the pooled_timeout contract).
+                    self.env.pooled_timeout(cost).callbacks.append(self.run_cb)
+                    return
+            else:
+                # Same thread re-picked from the queue: fresh slice, no
+                # switch cost.
+                self.slice_left = calib.time_slice
+        self.run_quantum()
+
+    def run_quantum(self, _event: Optional[Event] = None) -> None:
+        """Run one quantum of the current burst (to completion if nobody
+        else is waiting)."""
+        cpu = self.cpu
+        burst = self.burst
+        if cpu._queued > 0:
+            quantum = min(burst.remaining, self.slice_left, cpu.calibration.time_slice)
+        else:
+            quantum = burst.remaining
+        user_part, sys_part = burst.consume(quantum)
+        cpu.counters.busy_user += user_part
+        cpu.counters.busy_system += sys_part
+        self.slice_left -= quantum
+        # quantum > 0: bursts are queued with work left, and a slice is
+        # only ever picked with budget left.
+        self.env.pooled_timeout(quantum).callbacks.append(self.finish_cb)
+
+    def finish(self, _event: Optional[Event] = None) -> None:
+        """End of a quantum: requeue an unfinished burst, or complete it."""
+        burst = self.burst
+        if burst.remaining > 1e-15:
+            burst.preempted = True
+            self.cpu._enqueue(burst)
+            self.last_preempted = True
+            # Expired slice: the thread goes to the back of the queue and
+            # loses its core.
+            self.slice_left = 0.0
+            self.dispatch()
+            return
+        self.burst = None
+        burst.thread._pending = None
+        self.last_preempted = False
+        # The woken process resubmits (same timestamp) before this core
+        # picks its next burst, so a thread that issues back-to-back bursts
+        # keeps the core without a switch.
+        self.env.succeed_in_place(burst, self.dispatch_cb)
 
 
 class SimThread:
@@ -177,12 +284,14 @@ class CPU:
         self.slowdown = 1.0
         self._ready: Deque[_Burst] = deque()
         self._queued = 0
-        self._cores: List[_Core] = [
-            _Core(i, calibration.time_slice) for i in range(self.cores)
-        ]
+        self._cores: List[_Core] = [_Core(self) for _ in range(self.cores)]
         self._idle_cores: List[_Core] = []
         for core in self._cores:
-            self.env.process(self._core_loop(core), name=f"{name}-core{core.index}")
+            # Urgent at construction time: each core's first dispatch runs
+            # where a started process's Initialize would.
+            env.pooled_schedule_at(env.now, priority=PRIORITY_URGENT).callbacks.append(
+                core.dispatch_cb
+            )
 
     # ------------------------------------------------------------------
     # Thread registry
@@ -218,25 +327,24 @@ class CPU:
     # Scheduling
     # ------------------------------------------------------------------
     def _submit(self, thread: SimThread, user: float, system: float) -> Event:
-        done = self.env.event()
         user = user * self.calibration.thread_footprint_factor(self.live_threads)
         if self.slowdown != 1.0:
             # Gray failure in effect: all work on this CPU is stretched.
             user *= self.slowdown
             system *= self.slowdown
-        burst = _Burst(thread, user, system, done)
+        burst = _Burst(thread, user, system)
         self.counters.bursts += 1
         if burst.remaining <= 0.0:
             # Zero-length burst: complete immediately without a core.
-            done.succeed()
-            return done
+            return burst.succeed()
         thread._pending = burst
         self._enqueue(burst)
         if self._idle_cores:
+            # Wake an idle core through the heap (same slot as a succeeded
+            # wake-up event) so same-time submitters queue up first.
             core = self._idle_cores.pop()
-            if core.wakeup is not None and not core.wakeup.triggered:
-                core.wakeup.succeed()
-        return done
+            self.env.pooled_timeout(0.0).callbacks.append(core.dispatch_cb)
+        return burst
 
     def _enqueue(self, burst: _Burst) -> None:
         token = [burst]
@@ -274,73 +382,6 @@ class CPU:
         burst.token = None
         self._queued -= 1
         return burst
-
-    # ------------------------------------------------------------------
-    def _core_loop(self, core: _Core):
-        calib = self.calibration
-        env = self.env
-        while True:
-            burst = self._take_sticky(core)
-            sticky = burst is not None
-            if burst is None:
-                burst = self._pop_ready()
-            if burst is None:
-                core.busy = False
-                core.wakeup = env.event()
-                self._idle_cores.append(core)
-                yield core.wakeup
-                core.wakeup = None
-                continue
-
-            core.busy = True
-            burst.state = _RUNNING
-            if not sticky and core.last_thread is not burst.thread:
-                cost = calib.context_switch_cost(self.runnable_count)
-                self.counters.context_switches += 1
-                if core.last_preempted:
-                    self.counters.involuntary_switches += 1
-                else:
-                    self.counters.voluntary_switches += 1
-                self.counters.switch_time += cost
-                self.counters.busy_system += cost
-                core.last_thread = burst.thread
-                core.slice_left = calib.time_slice
-                if cost > 0:
-                    # Pooled: the core loop never retains its sleep timers
-                    # and is never interrupted (see pooled_timeout contract).
-                    yield env.pooled_timeout(cost)
-            elif not sticky:
-                # Same thread re-picked from the queue: fresh slice, no
-                # switch cost.
-                core.slice_left = calib.time_slice
-
-            # Run one quantum (to completion if nobody else is waiting).
-            if self._queued > 0:
-                quantum = min(burst.remaining, core.slice_left, calib.time_slice)
-            else:
-                quantum = burst.remaining
-            user_part, sys_part = burst.consume(quantum)
-            self.counters.busy_user += user_part
-            self.counters.busy_system += sys_part
-            if quantum > 0:
-                yield env.pooled_timeout(quantum)
-            core.slice_left -= quantum
-
-            if burst.remaining > 1e-15:
-                burst.preempted = True
-                self._enqueue(burst)
-                core.last_preempted = True
-                # Expired slice: the thread goes to the back of the queue
-                # and loses its core.
-                core.slice_left = 0.0
-            else:
-                burst.thread._pending = None
-                core.last_preempted = False
-                burst.done.succeed()
-                # Let the woken process resubmit (same timestamp) before
-                # this core picks its next burst, so a thread that issues
-                # back-to-back bursts keeps the core without a switch.
-                yield env.pooled_timeout(0.0)
 
     def __repr__(self) -> str:
         return (

@@ -14,7 +14,11 @@ tier of ``tools/ci_check.sh``.
 The measurements are **host-dependent** wall-clock numbers.  Comparisons
 are therefore only meaningful against a baseline recorded on the same
 machine; the CI gate uses a generous tolerance (default 30%) to separate
-real regressions from scheduler noise.
+real regressions from scheduler noise.  Alongside the rates, the suite
+records host-independent work counters (kernel events per completed
+request, :data:`EXACT_METRICS`) that the gate checks for equality: they
+move only when the simulator does different work, so every change to them
+must be deliberate.
 
 Every benchmark is a pure function of its scale: the *simulated* work is
 deterministic (fixed seeds, fixed iteration counts), only the wall-clock
@@ -47,6 +51,9 @@ from repro.sim.core import Environment
 __all__ = [
     "BENCH_FILENAME",
     "SUITE_VERSION",
+    "RATE_METRICS",
+    "EXACT_METRICS",
+    "WORK_SCALE",
     "bench_kernel_events",
     "bench_timeout_churn",
     "bench_tcp_transfer",
@@ -70,16 +77,19 @@ BENCH_FILENAME = "BENCH_core.json"
 #: a benchmark is added, removed or re-shaped so that
 #: :func:`compare_to_baseline` refuses to gate against a baseline from a
 #: different suite generation instead of silently comparing mismatched
-#: numbers.  v6 added the sharded-kernel A/B (``bench_shard``).
-SUITE_VERSION = 6
+#: numbers.  v6 added the sharded-kernel A/B (``bench_shard``); v7 gates
+#: the end-to-end shapes on completed-request rates instead of event rates
+#: and adds the exact :data:`EXACT_METRICS` rows.
+SUITE_VERSION = 7
 
-#: Metrics where *higher* is better (rates); everything else in
-#: ``results`` is a wall time where lower is better.
+#: Gated rates, where *higher* is better.  The end-to-end shapes gate on
+#: completed requests per second, not events per second: an event rate
+#: falls when the same work needs fewer events.
 RATE_METRICS = (
     "kernel_events_per_sec",
     "timeout_churn_per_sec",
     "tcp_sim_mbytes_per_sec",
-    "micro_events_per_sec",
+    "micro_requests_per_sec",
     "tcp_spin_mbytes_per_sec",
     "tcp_spin_rtt5_mbytes_per_sec",
     "tcp_drain_mbytes_per_sec",
@@ -87,8 +97,35 @@ RATE_METRICS = (
     "cache_ops_per_sec",
     "million_clients_per_sec",
     "dag_requests_per_sec",
-    "shard_events_per_sec",
+    "shard_requests_per_sec",
 )
+
+#: Host-independent work counters, gated for *equality*: kernel events per
+#: completed request of the micro, million and DAG shapes.
+EXACT_METRICS = (
+    "micro_events_per_request",
+    "million_events_per_request",
+    "dag_events_per_request",
+)
+
+#: Scale of the untimed runs behind :data:`EXACT_METRICS`.  Fixed, so a
+#: reduced-scale smoke run and a full-scale baseline count the same runs.
+WORK_SCALE = 0.2
+
+
+def _events_per_request(result) -> float:
+    """Kernel events per completed request of one run (deterministic)."""
+    return round(result.kernel_events / max(result.report.completed, 1), 4)
+
+
+def _request_rate(completed: float, wall: float, config) -> float:
+    """Completed requests per wall second of the measured window.
+
+    ``completed`` counts only the post-warmup window, so the warmup's
+    share of the wall is taken out; that keeps the rate scale-free.
+    """
+    measured = (config.duration - config.warmup) / config.duration
+    return completed / (wall * measured) if wall > 0 else 0.0
 
 
 def _best_of(fn: Callable[[], Dict[str, float]], repeats: int) -> Dict[str, float]:
@@ -407,32 +444,37 @@ def bench_micro_wall(scale: float = 1.0, repeats: int = 2) -> Dict[str, float]:
     SingleT-Async at concurrency 50 with 100KB responses — the write-spin
     configuration — exercises every layer at once: kernel, CPU scheduler,
     TCP model, workload clients and metrics.  This is the number that
-    predicts artifact sweep wall time.
+    predicts artifact sweep wall time.  ``requests_per_sec`` is the gated
+    rate; ``events_per_request`` comes from one untimed run at
+    :data:`WORK_SCALE`.
     """
     from repro.experiments.micro import MicroConfig, run_micro
     from repro.workload.mixes import SIZE_LARGE
 
-    duration = 0.3 + 1.2 * scale
-
-    def round_() -> Dict[str, float]:
-        config = MicroConfig(
+    def _config(at_scale: float) -> "MicroConfig":
+        return MicroConfig(
             server="SingleT-Async",
             concurrency=50,
             response_size=SIZE_LARGE,
-            duration=duration,
+            duration=0.3 + 1.2 * at_scale,
             warmup=0.2,
         )
+
+    def round_() -> Dict[str, float]:
+        config = _config(scale)
         started = time.perf_counter()
         result = run_micro(config)
         wall = time.perf_counter() - started
-        events = float(getattr(result, "kernel_events", 0) or 0)
         return {
             "wall_s": wall,
             "completed": float(result.report.completed),
-            "events_per_sec": events / wall if wall > 0 and events else 0.0,
+            "requests_per_sec": _request_rate(result.report.completed, wall, config),
+            "events_per_sec": result.kernel_events / wall if wall > 0 else 0.0,
         }
 
-    return _best_of(round_, repeats)
+    best = _best_of(round_, repeats)
+    best["events_per_request"] = _events_per_request(run_micro(_config(WORK_SCALE)))
+    return best
 
 
 # ----------------------------------------------------------------------
@@ -459,7 +501,9 @@ def bench_million(scale: float = 1.0, repeats: int = 2) -> Dict[str, float]:
       allocation hooks roughly triple wall time) for ``peak_heap_mb``.
 
     ``clients_per_sec`` is scale-free-ish (wall grows with the active
-    fringe, which grows with N) and is the gated rate metric.
+    fringe, which grows with N) and is the gated rate metric;
+    ``events_per_request`` comes from one untimed run at
+    :data:`WORK_SCALE`.
     """
     from repro.cohort import CohortConfig, cohort_enabled
     from repro.experiments.micro import MicroConfig, run_micro
@@ -470,7 +514,10 @@ def bench_million(scale: float = 1.0, repeats: int = 2) -> Dict[str, float]:
             "(or set it to 1) — under REPRO_COHORT=0 the big run would "
             "fall back to hours of per-client simulation"
         )
-    clients = max(10_000, int(round(1_000_000 * scale)))
+    def _clients(at_scale: float) -> int:
+        return max(10_000, int(round(1_000_000 * at_scale)))
+
+    clients = _clients(scale)
     ab_clients = max(1_000, min(20_000, clients // 50))
 
     def _config(size: int, mode: str) -> "MicroConfig":
@@ -511,7 +558,9 @@ def bench_million(scale: float = 1.0, repeats: int = 2) -> Dict[str, float]:
     peak_bytes = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
 
+    work = run_micro(_config(_clients(WORK_SCALE), "lazy"))
     return {
+        "events_per_request": _events_per_request(work),
         "wall_s": big_wall,
         "clients": float(clients),
         "clients_per_sec": clients / big_wall if big_wall > 0 else 0.0,
@@ -543,9 +592,10 @@ def bench_dag(scale: float = 1.0, repeats: int = 2) -> Dict[str, float]:
     costs four servers' worth of CPU scheduling, three pooled TCP
     exchanges and a fan-in join on top of the entry tier's own data path,
     so ``dag_requests_per_sec`` predicts DAG artifact sweep wall time the
-    way ``micro_events_per_sec`` predicts the linear ones.  The
+    way ``micro_requests_per_sec`` predicts the linear ones.  The
     ``completed`` count is a determinism sanity (pure function of the
-    seed).
+    seed); ``events_per_request`` comes from one untimed run at
+    :data:`WORK_SCALE`.
     """
     from repro.dag import DagConfig, Edge, ServiceNode, dag_enabled
     from repro.ntier.topology import NTierConfig, run_ntier
@@ -557,7 +607,6 @@ def bench_dag(scale: float = 1.0, repeats: int = 2) -> Dict[str, float]:
             "to 1) — under REPRO_DAG=0 the topology silently degrades to "
             "the linear chain and the rate would gate the wrong code path"
         )
-    duration = 0.5 + 2.5 * scale
     leaves = ("text", "media", "graph")
     dag = DagConfig(
         entry="compose",
@@ -573,19 +622,21 @@ def bench_dag(scale: float = 1.0, repeats: int = 2) -> Dict[str, float]:
         ),
     )
 
-    def round_() -> Dict[str, float]:
-        config = NTierConfig(
+    def _config(at_scale: float) -> "NTierConfig":
+        return NTierConfig(
             tomcat_variant="async",
             users=40,
             think_mean=0.05,
-            duration=duration,
+            duration=0.5 + 2.5 * at_scale,
             warmup=0.3,
             mix=FixedMix(2048),
             dag=dag,
             seed=11,
         )
+
+    def round_() -> Dict[str, float]:
         started = time.perf_counter()
-        result = run_ntier(config)
+        result = run_ntier(_config(scale))
         wall = time.perf_counter() - started
         requests = result.dag_stats.get("dag_requests", 0.0)
         return {
@@ -597,9 +648,9 @@ def bench_dag(scale: float = 1.0, repeats: int = 2) -> Dict[str, float]:
             "completed": float(result.report.completed),
         }
 
-    return _best_of(round_, repeats)
-
-
+    best = _best_of(round_, repeats)
+    best["events_per_request"] = _events_per_request(run_ntier(_config(WORK_SCALE)))
+    return best
 
 
 # ----------------------------------------------------------------------
@@ -618,8 +669,10 @@ def bench_shard(scale: float = 1.0, repeats: int = 2) -> Dict[str, float]:
     drift hits all three equally; every run is digest-identical by the
     shard contract, so the *only* thing varying is wall clock.
 
-    ``events_per_sec`` (the gated rate) is the merged kernel event count
-    over the best sharded wall.  ``speedup`` is serial wall over best
+    ``requests_per_sec`` (the gated rate) is the best sharded round's
+    completed requests per wall second of its measured window;
+    ``events_per_sec`` is the merged kernel event count over the same
+    wall.  ``speedup`` is serial wall over best
     sharded wall — **read it against ``cores``**: on a single-core host
     the workers time-slice one CPU and the honest ceiling is ~1x minus
     barrier overhead; island wall-clock parallelism needs one core per
@@ -689,6 +742,7 @@ def bench_shard(scale: float = 1.0, repeats: int = 2) -> Dict[str, float]:
         "serial_wall_s": serial_wall,
         "two_shard_wall_s": two_wall,
         "four_shard_wall_s": four_wall,
+        "requests_per_sec": _request_rate(best.report.completed, best_wall, config),
         "events_per_sec": (
             best.kernel_events / best_wall if best_wall > 0 else 0.0
         ),
@@ -742,12 +796,15 @@ def run_perf_suite(scale: float = 1.0, repeats: int = 3) -> Dict[str, object]:
             "cache_wall_s": round(cache["wall_s"], 4),
             "cache_hit_ratio": round(cache["hit_ratio"], 4),
             "micro_wall_s": round(micro["wall_s"], 4),
+            "micro_requests_per_sec": round(micro["requests_per_sec"], 1),
             "micro_events_per_sec": round(micro["events_per_sec"], 1),
+            "micro_events_per_request": micro["events_per_request"],
             "micro_completed": micro["completed"],
             "million_clients": million["clients"],
             "million_wall_s": round(million["wall_s"], 4),
             "million_clients_per_sec": round(million["clients_per_sec"], 1),
             "million_events_per_sec": round(million["events_per_sec"], 1),
+            "million_events_per_request": million["events_per_request"],
             "million_peak_heap_mb": round(million["peak_heap_mb"], 2),
             "million_ab_speedup": round(million["ab_speedup"], 2),
             "million_ab_baseline_clients_per_sec": round(
@@ -756,7 +813,9 @@ def run_perf_suite(scale: float = 1.0, repeats: int = 3) -> Dict[str, object]:
             "dag_wall_s": round(dag["wall_s"], 4),
             "dag_requests_per_sec": round(dag["requests_per_sec"], 1),
             "dag_events_per_sec": round(dag["events_per_sec"], 1),
+            "dag_events_per_request": dag["events_per_request"],
             "dag_completed": dag["completed"],
+            "shard_requests_per_sec": round(shard["requests_per_sec"], 1),
             "shard_events_per_sec": round(shard["events_per_sec"], 1),
             "shard_wall_s": round(shard["wall_s"], 4),
             "shard_serial_wall_s": round(shard["serial_wall_s"], 4),
@@ -807,9 +866,11 @@ def compare_to_baseline(
 ) -> List[str]:
     """Regressions of ``current`` vs ``baseline`` beyond ``tolerance``.
 
-    Only rate metrics (events/sec and friends) gate: wall times scale with
-    the chosen ``--scale`` while rates are scale-free, so a reduced-scale
-    smoke run can be compared against a full-scale committed baseline.
+    Rate metrics (:data:`RATE_METRICS`) gate with ``tolerance``: wall
+    times scale with the chosen ``--scale`` while rates are scale-free, so
+    a reduced-scale smoke run can be compared against a full-scale
+    committed baseline.  Work counters (:data:`EXACT_METRICS`, measured at
+    the fixed :data:`WORK_SCALE`) must match exactly, in either direction.
     Returns a list of human-readable failure strings (empty = pass).
 
     A baseline whose gated-metric set differs from the current run's is
@@ -832,7 +893,7 @@ def compare_to_baseline(
     cur = current["results"]  # type: ignore[index]
     base = baseline["results"]  # type: ignore[index]
     mismatched = sorted(
-        metric for metric in RATE_METRICS
+        metric for metric in RATE_METRICS + EXACT_METRICS
         if (metric in cur) != (metric in base)  # type: ignore[operator]
     )
     if mismatched:
@@ -853,5 +914,14 @@ def compare_to_baseline(
             failures.append(
                 f"{metric}: {have:,.0f} < {floor:,.0f} "
                 f"(baseline {want:,.0f} - {tolerance:.0%})"
+            )
+    for metric in EXACT_METRICS:
+        have = cur.get(metric)  # type: ignore[union-attr]
+        want = base.get(metric)  # type: ignore[union-attr]
+        if have != want:
+            failures.append(
+                f"{metric}: {have} != baseline {want} (exact work counter: "
+                "the simulator now does different work; if that is "
+                "deliberate, explain it and regenerate the baseline)"
             )
     return failures

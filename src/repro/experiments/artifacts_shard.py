@@ -283,7 +283,7 @@ def shard_speedup(
     )
     result.note(
         "the tracked interleaved A/B lives in BENCH_core.json "
-        "(shard_events_per_sec, shard_speedup); REPRO_SHARD=0 is the "
+        "(shard_requests_per_sec, shard_speedup); REPRO_SHARD=0 is the "
         "kill switch and REPRO_SHARDS=N / --shards N the opt-in"
     )
     return result

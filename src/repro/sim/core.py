@@ -42,7 +42,10 @@ single result (the golden-digest tests pin bit-identical behaviour):
   :meth:`Environment._cancel`;
 * ``any_of``/``all_of`` prune their losing :class:`Timeout` children once
   the condition triggers, which keeps far-future retry deadlines from
-  piling up in the heap (the client retry pattern).
+  piling up in the heap (the client retry pattern);
+* :meth:`Environment.succeed_in_place` runs a hand-off's callbacks
+  without the heap round trip when they would have been the very next
+  pop anyway (the CPU burst completion).
 
 The insertion-sequence counter is consumed at exactly the same points as
 before any of this machinery existed, which is what makes the fast path
@@ -540,6 +543,10 @@ class Environment:
         self._timeout_pool: List[_PooledTimeout] = []
         #: Number of heap entries whose event is lazily cancelled.
         self._cancelled_entries = 0
+        #: Heap entries that :meth:`succeed_in_place` elides but the plain
+        #: schedule would hold right now; the compaction trigger counts
+        #: them so it fires at exactly the same point either way.
+        self._elided = 0
 
     # ------------------------------------------------------------------
     @property
@@ -668,6 +675,10 @@ class Environment:
         """
         if fire_at < self._now:
             raise ValueError(f"fire_at={fire_at!r} is in the past (now={self._now!r})")
+        return self._push_pooled(fire_at, priority, next(self._eid), value)
+
+    def _push_pooled(self, fire_at: float, priority: int, key: int, value: Any) -> Timeout:
+        """Queue a recycled pooled timer under an explicit heap key."""
         pool = self._timeout_pool
         if pool:
             t = pool.pop()
@@ -686,7 +697,7 @@ class Environment:
             t._cancelled = False
         t._delay = fire_at - self._now
         t._fire_at = fire_at
-        heappush(self._queue, (fire_at, priority, next(self._eid), t))
+        heappush(self._queue, (fire_at, priority, key, t))
         return t
 
     def schedule_keyed(
@@ -749,6 +760,63 @@ class Environment:
         heappush(self._queue, (fire_at, priority, next(self._eid), event))
         return event
 
+    def succeed_in_place(self, event: Event, resume: Callable[[Event], None]) -> None:
+        """``event.succeed()`` then a zero-delay pooled timer whose only
+        callback is ``resume`` -- each delivered in place where exact.
+
+        The plain schedule pushes ``event`` at ``(now, NORMAL, k1)`` and
+        the timer at ``(now, NORMAL, k2)`` and returns to the run loop.
+        Here both insertion ids are drawn first, then:
+
+        1. if no queued entry sorts before ``(now, NORMAL, k1)``, ``event``
+           would be the very next pop, so its callbacks run right now;
+           otherwise it is pushed at ``k1``;
+        2. if then nothing sorts before ``(now, NORMAL, k2)``, the timer
+           would be the next pop, so ``resume(event)`` runs right now;
+           otherwise a pooled timer carrying ``resume`` is pushed at ``k2``.
+
+        Whatever the callbacks schedule ahead of the timer (an urgent
+        ``Initialize`` or ``Interruption``) thus forces the fallback and
+        keeps the plain order.  In-place deliveries do not count in
+        :attr:`events_processed`, which stays "heap entries popped and
+        dispatched".  If a callback raises (``StopSimulation`` from
+        ``run(until=event)``), the timer is still pushed at ``k2`` before
+        the exception propagates, so the continuation is never lost.
+
+        Caller contract: this is the last action of the only callback on
+        the event being dispatched, so nothing else would run before the
+        next pop; ``resume`` obeys the :meth:`pooled_timeout` contract.
+        The CPU core's burst completion is the single call site.
+        """
+        if event._value is not _PENDING:
+            raise EventLifecycleError(f"{event!r} has already been triggered")
+        event._ok = True
+        event._value = None
+        now = self._now
+        queue = self._queue
+        k1 = next(self._eid)
+        k2 = next(self._eid)
+        inline = False
+        try:
+            if queue and queue[0] < (now, PRIORITY_NORMAL, k1):
+                heappush(queue, (now, PRIORITY_NORMAL, k1, event))
+            else:
+                callbacks = event.callbacks
+                event.callbacks = None
+                # The plain schedule holds the k2 timer while these run.
+                self._elided += 1
+                try:
+                    for callback in callbacks:
+                        callback(event)
+                finally:
+                    self._elided -= 1
+            inline = not queue or queue[0] > (now, PRIORITY_NORMAL, k2)
+        finally:
+            if not inline:
+                self._push_pooled(now, PRIORITY_NORMAL, k2, None).callbacks.append(resume)
+        if inline:
+            resume(event)
+
     def process(self, generator: Generator[Event, Any, Any], name: str = "") -> Process:
         """Start a new process from ``generator`` and return it."""
         return Process(self, generator, name=name)
@@ -781,7 +849,10 @@ class Environment:
             return
         event._cancelled = True
         self._cancelled_entries += 1
-        if self._cancelled_entries > _COMPACT_MIN and self._cancelled_entries * 2 > len(self._queue):
+        if (
+            self._cancelled_entries > _COMPACT_MIN
+            and self._cancelled_entries * 2 > len(self._queue) + self._elided
+        ):
             self._compact()
 
     def _compact(self) -> None:
@@ -863,6 +934,7 @@ class Environment:
           its value (or raising its exception).
         """
         stop_value = _PENDING
+        stop_hook = None
 
         if until is None:
             stop_time = float("inf")
@@ -870,7 +942,7 @@ class Environment:
             if until.callbacks is None:
                 return until.value if until._ok else self._raise(until._value)
 
-            def _stop(event: Event) -> None:
+            def stop_hook(event: Event) -> None:
                 nonlocal stop_value
                 stop_value = event
                 raise StopSimulation()
@@ -878,7 +950,7 @@ class Environment:
             if until._cancelled:
                 until._cancelled = False
                 self._cancelled_entries -= 1
-            until.callbacks.append(_stop)
+            until.callbacks.append(stop_hook)
             stop_time = float("inf")
         else:
             stop_time = float(until)
@@ -921,6 +993,13 @@ class Environment:
             pass
         finally:
             self.events_processed += events_processed
+            if stop_hook is not None and stop_value is _PENDING:
+                # `until` did not fire (the queue drained, or an error
+                # escaped): unhook, or its later firing would halt some
+                # other run() call.
+                callbacks = until.callbacks
+                if callbacks is not None and stop_hook in callbacks:
+                    callbacks.remove(stop_hook)
 
         if stop_value is not _PENDING:
             event = stop_value

@@ -123,6 +123,34 @@ def test_multicore_runs_in_parallel():
     assert env.now < 2e-3
 
 
+def test_run_until_burst_keeps_the_core_running(env, cpu):
+    """Stopping the run inside a burst completion (the completion's
+    callbacks raise StopSimulation) must not strand the core busy."""
+    t1, t2 = cpu.thread(), cpu.thread()
+    env.run(until=t1.run(1e-4))
+    done = t2.run(2e-4)
+    env.run()
+    assert done.processed
+    assert cpu.runnable_count == 0
+
+
+def test_failing_completion_callback_keeps_the_core_running(env, cpu):
+    """A completion callback that raises escapes run(); the core still
+    dispatches the next burst in the following run."""
+    t1, t2 = cpu.thread(), cpu.thread()
+
+    def boom(event):
+        raise RuntimeError("callback failed")
+
+    t1.run(1e-4).callbacks.append(boom)
+    with pytest.raises(RuntimeError):
+        env.run()
+    done = t2.run(2e-4)
+    env.run()
+    assert done.processed
+    assert cpu.counters.bursts == 2
+
+
 def test_footprint_factor_inflates_user_work(env, calib):
     env2 = Environment()
     cpu = CPU(env2, calib)

@@ -41,6 +41,25 @@ def test_run_until_already_processed_event(env):
     assert env.run(timeout) == "x"
 
 
+def test_run_until_event_unhooks_when_queue_drains(env):
+    """An ``until`` event that never fired must not halt a later run."""
+    gate = env.event()
+    assert env.run(until=gate) is None  # queue empty: returns at once
+    log = []
+
+    def worker(env):
+        yield env.timeout(1)
+        gate.succeed()
+        yield env.timeout(1)
+        log.append(env.now)
+
+    env.process(worker(env))
+    env.run(until=5.0)
+    assert log == [2.0]
+    assert env.now == 5.0
+    assert env.peek() == float("inf")
+
+
 def test_step_empty_queue_raises(env):
     with pytest.raises(SimulationError):
         env.step()
