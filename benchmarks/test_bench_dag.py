@@ -6,19 +6,12 @@ while sync edges grow the mean additively; a single-branch gray failure
 collapses ``wait_all`` goodput while ``quorum``/``best_effort`` recover
 >=90% of healthy goodput as counted degraded responses; latency-aware
 ejection removes a slow-but-alive replica without a single hard
-failure; ``DagConfig(enabled=False)`` is bit-identical to the linear
-chain).
-
-The DAG engine is pinned on via ``REPRO_DAG=1`` so a shell that
-disabled it cannot silently collapse every cell to the linear chain
-(the kill switch's own zero-impact contract is exercised by the
-``dagkill`` CI tier instead).
+failure).
 """
 
 import pytest
 
 
 @pytest.mark.dag
-def test_bench_dag_workloads(monkeypatch, regenerate):
-    monkeypatch.setenv("REPRO_DAG", "1")
+def test_bench_dag_workloads(regenerate):
     regenerate("dag")

@@ -1,22 +1,16 @@
 """Replica failover: crash-restart vs ejection and hedging.
 
 Regenerates artifact ``failover`` from the experiment registry and
-asserts its shape checks (three-way zero-impact of an inert
+asserts its shape checks (zero-impact of a single-replica
 ReplicaConfig, full-downtime collapse and degraded post-restart p99
 without failover, detection-window-bounded dip with passive ejection,
 budget-bounded hedging, and the cold-cache restart stampede with and
 without single-flight coalescing).
-
-The replica and cache layers are pinned on via ``REPRO_REPLICA=1`` /
-``REPRO_CACHE=1`` so a shell that disabled either cannot silently turn
-the artifact into a no-op.
 """
 
 import pytest
 
 
 @pytest.mark.failover
-def test_bench_replica_failover(monkeypatch, regenerate):
-    monkeypatch.setenv("REPRO_REPLICA", "1")
-    monkeypatch.setenv("REPRO_CACHE", "1")
+def test_bench_replica_failover(regenerate):
     regenerate("failover")

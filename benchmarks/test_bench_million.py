@@ -5,16 +5,11 @@ asserts its shape checks (bit-identical zero-impact of
 ``materialize="always"``, fixed-seed determinism of the lazy engine,
 >=10x clients-per-wall-second over per-client simulation in an
 interleaved A/B, and a flat-heap-bound million-client run).
-
-The cohort engine is pinned on via ``REPRO_COHORT=1`` so a shell that
-disabled it cannot silently turn the big run into an hours-long
-per-client simulation.
 """
 
 import pytest
 
 
 @pytest.mark.cohort
-def test_bench_million_clients(monkeypatch, regenerate):
-    monkeypatch.setenv("REPRO_COHORT", "1")
+def test_bench_million_clients(regenerate):
     regenerate("million")

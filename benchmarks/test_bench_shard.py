@@ -5,18 +5,11 @@ its shape checks (sharded runs bit-identical to the serial kernel on the
 1M-cohort n-tier shape and a wide DAG, bounded barrier-sync overhead —
 or a >=1.5x speedup where the host has a core per island — and the
 serial fallback for configs outside the proven-safe envelope).
-
-The cohort/DAG engines and the sharded kernel are pinned on so a shell
-that disabled any of them cannot silently turn every row into the
-serial kernel (the artifact itself refuses to run in that case).
 """
 
 import pytest
 
 
 @pytest.mark.shard
-def test_bench_shard_speedup(monkeypatch, regenerate):
-    monkeypatch.setenv("REPRO_COHORT", "1")
-    monkeypatch.setenv("REPRO_DAG", "1")
-    monkeypatch.setenv("REPRO_SHARD", "1")
+def test_bench_shard_speedup(regenerate):
     regenerate("shard")

@@ -10,26 +10,18 @@ with TTL + LRU eviction driven entirely by the simulation clock.
 
 Layout:
 
-* :mod:`repro.cache.config` — :class:`CacheConfig` (frozen, digest-stable)
-  and the ``REPRO_CACHE=0`` kill switch;
+* :mod:`repro.cache.config` — :class:`CacheConfig` (frozen, digest-stable);
 * :mod:`repro.cache.store` — :class:`TtlLruStore`, one cache level;
 * :mod:`repro.cache.tier` — :class:`CacheTier`, the lookup/fill state
   machine with single-flight coalescing.
 
-Zero-impact contract: with no :class:`CacheConfig` on the
-:class:`~repro.ntier.topology.NTierConfig` (or with the kill switch set)
-nothing in this package is instantiated, no RNG stream is forked and no
-simulation event exists — runs are bit-identical to a cacheless build.
+The config is the only switch: with no :class:`CacheConfig` on the
+:class:`~repro.ntier.topology.NTierConfig` nothing in this package is
+instantiated, no RNG stream is forked and no simulation event exists.
 """
 
-from repro.cache.config import CacheConfig, CACHE_TIER_ENV, cache_tier_enabled
+from repro.cache.config import CacheConfig
 from repro.cache.store import TtlLruStore
 from repro.cache.tier import CacheTier
 
-__all__ = [
-    "CacheConfig",
-    "CacheTier",
-    "TtlLruStore",
-    "CACHE_TIER_ENV",
-    "cache_tier_enabled",
-]
+__all__ = ["CacheConfig", "CacheTier", "TtlLruStore"]

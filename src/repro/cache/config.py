@@ -1,4 +1,4 @@
-"""Cache-tier configuration and the ``REPRO_CACHE`` kill switch.
+"""Cache-tier configuration.
 
 :class:`CacheConfig` is a frozen value object so it participates in
 experiment cache keys (:func:`repro.experiments.parallel.point_digest`
@@ -8,28 +8,14 @@ walks dataclasses) and golden-digest configs, exactly like
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 from repro.errors import ExperimentError
 
-__all__ = ["CacheConfig", "CACHE_TIER_ENV", "cache_tier_enabled", "POLICIES"]
-
-#: Kill switch shared with the sweep memo cache: ``REPRO_CACHE=0`` turns
-#: *both* off.  Sharing the variable is deliberately self-consistent —
-#: disabling the tier also disables memoisation, so a stale memoised
-#: tier-enabled result can never be served for a tier-disabled run.
-CACHE_TIER_ENV = "REPRO_CACHE"
-
-_DISABLED = {"0", "off", "no", "false"}
+__all__ = ["CacheConfig", "POLICIES"]
 
 #: Supported write policies.
 POLICIES = ("cache_aside", "write_through")
-
-
-def cache_tier_enabled() -> bool:
-    """False when the ``REPRO_CACHE`` kill switch disables the tier."""
-    return os.environ.get(CACHE_TIER_ENV, "1").strip().lower() not in _DISABLED
 
 
 @dataclass(frozen=True)
@@ -41,8 +27,6 @@ class CacheConfig:
     copy, and a miss costs the full pooled database exchange.
     """
 
-    #: Master switch; ``False`` is provably zero-impact (nothing built).
-    enabled: bool = True
     #: ``"cache_aside"`` — writes invalidate, next read refills; or
     #: ``"write_through"`` — writes refill both levels after the DB round.
     policy: str = "cache_aside"

@@ -47,8 +47,7 @@ processes (``auto`` = one per core); results are bit-identical to a
 serial run.  The ``REPRO_JOBS`` environment variable sets the default.
 ``--shards N`` runs each eligible simulation on the sharded parallel
 kernel (N kernel islands in worker processes; bit-identical to serial);
-the ``REPRO_SHARDS`` environment variable sets the default and
-``REPRO_SHARD=0`` kills the feature entirely.
+the ``REPRO_SHARDS`` environment variable sets the default.
 """
 
 from __future__ import annotations
@@ -73,6 +72,7 @@ from repro.experiments.report import (
     render_markdown,
     render_sweep_summary,
 )
+from repro.shard import resolve_shards
 
 __all__ = ["main", "build_parser"]
 
@@ -84,9 +84,9 @@ def _add_sweep_flags(parser: argparse.ArgumentParser) -> None:
                         help="sweep worker processes (integer or 'auto'; "
                         "default: $REPRO_JOBS, else serial)")
     parser.add_argument("--shards", default=None, metavar="N", type=int,
-                        help="kernel islands per eligible simulation "
-                        "(default: $REPRO_SHARDS, else serial; "
-                        "REPRO_SHARD=0 disables)")
+                        help="kernel islands per eligible simulation, a "
+                        "positive integer (default: $REPRO_SHARDS, else 1 = "
+                        "serial)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -203,14 +203,16 @@ def _check_scale(scale: float) -> float:
 
 
 def _apply_shards(shards: Optional[int]) -> None:
-    """Propagate ``--shards`` to the runners via ``REPRO_SHARDS``.
+    """Validate ``--shards`` (or ``REPRO_SHARDS``) and propagate it.
 
     The artifact runners construct their simulation configs internally,
     so the CLI cannot pass ``shards=`` through; the environment variable
     is the documented default channel and worker processes inherit it.
+    Resolving here rejects a malformed count before anything simulates.
     """
+    count = resolve_shards(shards)
     if shards is not None:
-        os.environ["REPRO_SHARDS"] = str(shards)
+        os.environ["REPRO_SHARDS"] = str(count)
 
 
 def _cmd_run(artifact: str, scale: float, jobs: Optional[str],

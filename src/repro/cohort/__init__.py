@@ -3,16 +3,14 @@
 Large homogeneous closed-loop populations run as aggregate arrival and
 drain processes (:class:`~repro.cohort.engine.Cohort`) instead of N live
 client/connection objects; see :mod:`repro.cohort.engine` for the model
-and :mod:`repro.cohort.config` for the ``REPRO_COHORT`` kill switch.
+and :mod:`repro.cohort.config` for the materialization modes.
 """
 
-from repro.cohort.config import COHORT_ENV, CohortConfig, cohort_enabled
+from repro.cohort.config import CohortConfig
 from repro.cohort.engine import Cohort, CohortPopulation, CohortStats
 
 __all__ = [
-    "COHORT_ENV",
     "CohortConfig",
-    "cohort_enabled",
     "Cohort",
     "CohortPopulation",
     "CohortStats",

@@ -1,42 +1,29 @@
-"""Cohort configuration and the ``REPRO_COHORT`` kill switch.
+"""Cohort configuration.
 
 :class:`CohortConfig` is a frozen value object so it participates in
 experiment cache keys (:func:`repro.experiments.parallel.point_digest`
 walks dataclasses) and golden-digest configs, exactly like
 :class:`~repro.cache.config.CacheConfig`.
 
-The three-way contract mirrors every prior fast path:
+The ``materialize`` mode picks the engine:
 
 * ``materialize="always"`` runs the classic eager builder — bit-identical
   to ``cohort=None`` by construction (same loop, same RNG draws).
 * ``materialize="lazy"`` runs the aggregate :class:`~repro.cohort.engine.
   Cohort` engine — deterministic (serial == parallel) but *not* digest-
   compatible with the classic path; it has its own golden rows.
-* ``REPRO_COHORT=0`` demotes every lazy cohort to ``"always"`` so a
-  suspect run can be bisected to the aggregation machinery in one rerun.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 from repro.errors import ExperimentError
 
-__all__ = ["CohortConfig", "COHORT_ENV", "cohort_enabled", "MATERIALIZE_MODES"]
-
-#: Kill switch: ``REPRO_COHORT=0`` forces materialize-always everywhere.
-COHORT_ENV = "REPRO_COHORT"
-
-_DISABLED = {"0", "off", "no", "false"}
+__all__ = ["CohortConfig", "MATERIALIZE_MODES"]
 
 #: Supported materialization modes.
 MATERIALIZE_MODES = ("lazy", "always")
-
-
-def cohort_enabled() -> bool:
-    """False when the ``REPRO_COHORT`` kill switch disables aggregation."""
-    return os.environ.get(COHORT_ENV, "1").strip().lower() not in _DISABLED
 
 
 @dataclass(frozen=True)
@@ -51,8 +38,6 @@ class CohortConfig:
     aborts, observer access) and fold back afterwards.
     """
 
-    #: Master switch; ``False`` is provably zero-impact (nothing built).
-    enabled: bool = True
     #: ``"lazy"`` — aggregate engine with episodic materialization; or
     #: ``"always"`` — the classic eager builder (the A/B baseline).
     materialize: str = "lazy"
@@ -108,6 +93,5 @@ class CohortConfig:
         return self
 
     def lazy_active(self) -> bool:
-        """True when this config selects the aggregate engine right now
-        (enabled, lazy mode, and the kill switch has not demoted it)."""
-        return self.enabled and self.materialize == "lazy" and cohort_enabled()
+        """True when this config selects the aggregate engine."""
+        return self.materialize == "lazy"

@@ -8,18 +8,10 @@ breakers), and each node's async branches join under a declared fan-in
 policy — ``wait_all``, ``quorum(k)`` or ``best_effort(timeout)`` — with
 exact degraded-response accounting.
 
-Subject to the ``REPRO_DAG=0`` kill switch: killed or disabled configs
-fall back to the classic linear builder bit-for-bit.
+A run without a :class:`DagConfig` builds the classic linear chain.
 """
 
-from repro.dag.config import (
-    DAG_ENV,
-    DagConfig,
-    Edge,
-    FAN_IN_POLICIES,
-    ServiceNode,
-    dag_enabled,
-)
+from repro.dag.config import DagConfig, Edge, FAN_IN_POLICIES, ServiceNode
 from repro.dag.runtime import (
     DagServiceApplication,
     EdgeRuntime,
@@ -28,12 +20,10 @@ from repro.dag.runtime import (
 )
 
 __all__ = [
-    "DAG_ENV",
     "DagConfig",
     "Edge",
     "FAN_IN_POLICIES",
     "ServiceNode",
-    "dag_enabled",
     "DagServiceApplication",
     "EdgeRuntime",
     "fanin_outcome",

@@ -26,7 +26,6 @@ from repro.dag.config import DagConfig, ServiceNode
 from repro.dag.runtime import DagServiceApplication, EdgeRuntime
 from repro.net.link import Link
 from repro.ntier.pool import ConnectionPool
-from repro.replica.config import replica_enabled
 from repro.replica.group import Replica, ReplicaGroup
 from repro.resilience import CircuitBreaker
 from repro.servers.base import ServerLimits
@@ -86,8 +85,7 @@ class DagNodeBuild:
 
     def __init__(self, node: ServiceNode, replicated: bool):
         self.node = node
-        #: Whether the replicated path actually ran (config active *and*
-        #: the ``REPRO_REPLICA`` kill switch allowed it).
+        #: Whether the replicated path ran (``replicas > 1``).
         self.replicated = replicated
         #: Shared across instances so node counters aggregate naturally.
         self.app: Optional[DagServiceApplication] = None
@@ -239,11 +237,7 @@ def build_dag_system(env, config) -> DagSystem:
 
     system = DagSystem(dag)
     for node in dag.nodes:
-        replicated = (
-            node.replica is not None
-            and node.replica.active
-            and replica_enabled()
-        )
+        replicated = node.replica is not None and node.replica.active
         system.nodes[node.name] = DagNodeBuild(node, replicated)
 
     # Leaves first, so every edge's target exists before its pool.

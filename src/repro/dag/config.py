@@ -1,12 +1,10 @@
-"""Frozen configuration for service-dependency DAGs, plus the kill switch.
+"""Frozen configuration for service-dependency DAGs.
 
-Mirrors the contract every optional layer in this repo obeys
+Follows the contract every optional layer in this repo obeys
 (:mod:`repro.cache.config` is the template): frozen value objects that
-hash into sweep cache keys and golden-digest configs, an ``active``
-property that decides whether the DAG build path runs at all, and an
-environment kill switch (``REPRO_DAG=0``) that forces the classic linear
-three-tier topology no matter what the config says — bit-identical three
-ways (config absent == disabled == killed).
+hash into sweep cache keys and golden-digest configs.  A run builds the
+DAG exactly when it carries a :class:`DagConfig`; without one it builds
+the classic linear three-tier topology.
 
 A :class:`DagConfig` declares a microservice call graph: each
 :class:`ServiceNode` is one server + CPU slice, each :class:`Edge` a
@@ -19,7 +17,6 @@ and nonsensical fan-in settings before a run starts.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
@@ -29,28 +26,15 @@ if TYPE_CHECKING:  # pragma: no cover - typing only (avoids an import cycle)
     from repro.replica.config import ReplicaConfig
 
 __all__ = [
-    "DAG_ENV",
-    "dag_enabled",
     "Edge",
     "ServiceNode",
     "DagConfig",
     "FAN_IN_POLICIES",
 ]
 
-#: Environment kill switch: set to ``0``/``off``/``no``/``false`` to force
-#: the classic linear topology regardless of configuration.
-DAG_ENV = "REPRO_DAG"
-
-_DISABLED = {"0", "off", "no", "false"}
-
 #: Fan-in policies joining a node's async branches (see
 #: :mod:`repro.dag.runtime` for their exact semantics).
 FAN_IN_POLICIES = ("wait_all", "quorum", "best_effort")
-
-
-def dag_enabled() -> bool:
-    """True unless ``REPRO_DAG`` disables the DAG topology."""
-    return os.environ.get(DAG_ENV, "1").strip().lower() not in _DISABLED
 
 
 @dataclass(frozen=True)
@@ -109,8 +93,8 @@ class ServiceNode:
     #: Replicated deployment of this node (leaf nodes only; each
     #: instance gets its own CPU, server and upstream pool, and the
     #: owning edge routes across them through a
-    #: :class:`~repro.replica.group.LoadBalancer`).  ``None`` — and the
-    #: ``REPRO_REPLICA=0`` kill switch — mean one instance.
+    #: :class:`~repro.replica.group.LoadBalancer`).  ``None`` means one
+    #: instance.
     replica: Optional["ReplicaConfig"] = None
 
     @property
@@ -128,8 +112,6 @@ class DagConfig:
     #: Every service node, in declaration order (construction order is
     #: derived from it deterministically, so it participates in digests).
     nodes: Tuple[ServiceNode, ...] = ()
-    #: Master toggle; ``False`` behaves exactly like no config at all.
-    enabled: bool = True
 
     def node(self, name: str) -> ServiceNode:
         """Look up one node by name (validated configs always hit)."""
@@ -268,8 +250,3 @@ class DagConfig:
         # dependency order entry-last; return leaves-first so builders
         # can construct targets before the pools that point at them.
         return tuple(order)
-
-    @property
-    def active(self) -> bool:
-        """True when the DAG build path should actually run."""
-        return self.enabled and bool(self.nodes)

@@ -20,16 +20,13 @@ the trickle, not the flood:
 
 Both cells run the same workload, deadline and retry policy; the *only*
 difference is ``CacheConfig.single_flight``.  A cold-start pair measures
-the same mechanism from an empty cache, and a zero-impact probe proves a
-disabled cache config is bit-identical to no cache at all.  Everything
-is seeded: the artifact reproduces exactly for a fixed seed regardless
-of ``--jobs``.
+the same mechanism from an empty cache.  Everything is seeded: the
+artifact reproduces exactly for a fixed seed regardless of ``--jobs``.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import replace
 from typing import Dict, List, Optional
 
 from repro.cache import CacheConfig
@@ -197,28 +194,12 @@ def cache_stampedes(
         cells[("cold", "async", label)] = _stampede_config(
             "async", flag, prewarm=False, scale=scale
         )
-    # Zero-impact probe: no cache config at all vs an explicitly disabled
-    # one.  Their measurements must be bit-identical.
-    clean = NTierConfig(
-        tomcat_variant="async",
-        users=_USERS,
-        think_mean=_THINK_MEAN,
-        duration=_WARMUP + 2.0,
-        warmup=_WARMUP,
-        timeline_bucket=_BUCKET,
-        seed=_SEED,
-        mix=HotReportMix(),
-    )
-    cells[("zero", "plain")] = clean
-    cells[("zero", "disabled")] = replace(clean, cache=CacheConfig(enabled=False))
     runs = sweep.map_ntier(cells)
 
     pre: Dict[tuple, float] = {}
     post: Dict[tuple, float] = {}
     duration = next(iter(runs.values())).config.duration
     for key in cells:
-        if key[0] == "zero":
-            continue
         run = runs[key]
         timeline = _padded_timeline(run)
         pre[key] = _window_rate(timeline, _WARMUP, _EXPIRY)
@@ -249,20 +230,6 @@ def cache_stampedes(
                 for tier in ("apache", "tomcat", "mysql")),
         )
 
-    zero_plain = runs[("zero", "plain")]
-    zero_disabled = runs[("zero", "disabled")]
-    result.check(
-        "a disabled CacheConfig is provably zero-impact "
-        "(bit-identical measurements)",
-        zero_plain.report == zero_disabled.report
-        and zero_plain.goodput_timeline == zero_disabled.goodput_timeline
-        and zero_plain.kernel_events == zero_disabled.kernel_events
-        and zero_disabled.cache_stats == {},
-        f"throughput {zero_plain.report.throughput:.1f} == "
-        f"{zero_disabled.report.throughput:.1f} rps, "
-        f"{zero_plain.kernel_events:,} == "
-        f"{zero_disabled.kernel_events:,} events",
-    )
     for variant in ("async", "sync"):
         dup = ("expiry", variant, "duplicates")
         result.check(

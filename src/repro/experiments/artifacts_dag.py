@@ -23,10 +23,7 @@ to DAG-structured backends, in three movements:
   replica without a single hard failure, and the A/B cell with the
   feature off shows the tail it would otherwise inherit.
 
-A zero-impact probe pins ``DagConfig(enabled=False)`` bit-identical to
-the linear chain (the ``REPRO_DAG=0`` kill switch is pinned separately
-by the CI golden-digest tier).  Everything is seeded and deterministic
-regardless of ``--jobs``.
+Everything is seeded and deterministic regardless of ``--jobs``.
 """
 
 from __future__ import annotations
@@ -249,20 +246,6 @@ def dag_workloads(
     cells[("eject", "off")] = _eject_config(
         replace(_LATENCY_EJECT, latency_factor=0.0)
     )
-    # Zero-impact probe: no DAG at all vs an explicitly disabled DAG.
-    clean = NTierConfig(
-        tomcat_variant="async",
-        users=_SWEEP_USERS,
-        think_mean=_SWEEP_THINK,
-        duration=_SWEEP_WARMUP + 2.0,
-        warmup=_SWEEP_WARMUP,
-        timeline_bucket=_BUCKET,
-        seed=_SEED,
-    )
-    cells[("zero", "plain")] = clean
-    cells[("zero", "disabled")] = replace(
-        clean, dag=replace(_fanout_dag(2, "async"), enabled=False)
-    )
     runs = sweep.map_ntier(cells)
 
     def edge_sums(stats: Dict[str, float]) -> Dict[str, int]:
@@ -277,8 +260,6 @@ def dag_workloads(
     p99: Dict[tuple, float] = {}
     mean: Dict[tuple, float] = {}
     for key, run in runs.items():
-        if key[0] == "zero":
-            continue
         stats = run.dag_stats
         branches = edge_sums(stats)
         p99[key] = 1e3 * run.report.response_time_p99
@@ -299,21 +280,6 @@ def dag_workloads(
                            stats.get("dag_requests_degraded", 0.0))
         if key[0] in ("fanin", "eject"):
             result.add_run_counters(run)
-
-    zero_plain = runs[("zero", "plain")]
-    zero_disabled = runs[("zero", "disabled")]
-    result.check(
-        "zero-impact: DagConfig(enabled=False) is bit-identical to the "
-        "linear chain with no DAG at all",
-        zero_plain.report == zero_disabled.report
-        and zero_plain.goodput_timeline == zero_disabled.goodput_timeline
-        and zero_plain.kernel_events == zero_disabled.kernel_events
-        and zero_disabled.dag_stats == {},
-        f"throughput {zero_plain.report.throughput:.1f} == "
-        f"{zero_disabled.report.throughput:.1f} rps, "
-        f"{zero_plain.kernel_events:,} == "
-        f"{zero_disabled.kernel_events:,} events",
-    )
 
     async1 = ("fanout", "async", _FANOUTS[0])
     async_max = ("fanout", "async", _FANOUTS[-1])

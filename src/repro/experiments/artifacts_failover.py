@@ -34,11 +34,9 @@ ejection contains the *goodput* damage either way; the duplicate
 fetches the database eats are the difference.
 
 A zero-impact probe proves the whole replica layer is inert unless
-asked for: ``replicas=1`` and ``enabled=False`` are both bit-identical
-to a config with no ``ReplicaConfig`` at all (the ``REPRO_REPLICA=0``
-kill switch is pinned separately by the CI golden-digest tier).
-Everything is seeded: the artifact reproduces exactly for a fixed seed
-regardless of ``--jobs``.
+asked for: ``replicas=1`` is bit-identical to a config with no
+``ReplicaConfig`` at all.  Everything is seeded: the artifact
+reproduces exactly for a fixed seed regardless of ``--jobs``.
 """
 
 from __future__ import annotations
@@ -252,8 +250,8 @@ def replica_failover(
         ("cold", "duplicates"): _cold_config(False, scale),
         ("cold", "single-flight"): _cold_config(True, scale),
     }
-    # Zero-impact probe: no ReplicaConfig at all vs a single replica vs
-    # an explicitly disabled group.  All three must be bit-identical.
+    # Zero-impact probe: no ReplicaConfig at all vs a single replica.
+    # Both must be bit-identical.
     clean = NTierConfig(
         tomcat_variant="async",
         users=_USERS,
@@ -265,9 +263,6 @@ def replica_failover(
     )
     cells[("zero", "plain")] = clean
     cells[("zero", "single")] = replace(clean, replica=ReplicaConfig(replicas=1))
-    cells[("zero", "disabled")] = replace(
-        clean, replica=ReplicaConfig(enabled=False, replicas=3)
-    )
     runs = sweep.map_ntier(cells)
 
     pre: Dict[tuple, float] = {}
@@ -305,19 +300,18 @@ def replica_failover(
             result.add_counter(name, stats.get(name, 0.0))
 
     zero_plain = runs[("zero", "plain")]
-    for label in ("single", "disabled"):
-        zero = runs[("zero", label)]
-        result.check(
-            f"zero-impact: ReplicaConfig({label}) is bit-identical to no "
-            "replica config at all",
-            zero_plain.report == zero.report
-            and zero_plain.goodput_timeline == zero.goodput_timeline
-            and zero_plain.kernel_events == zero.kernel_events
-            and zero.replica_stats == {},
-            f"throughput {zero_plain.report.throughput:.1f} == "
-            f"{zero.report.throughput:.1f} rps, "
-            f"{zero_plain.kernel_events:,} == {zero.kernel_events:,} events",
-        )
+    zero = runs[("zero", "single")]
+    result.check(
+        "zero-impact: ReplicaConfig(single) is bit-identical to no "
+        "replica config at all",
+        zero_plain.report == zero.report
+        and zero_plain.goodput_timeline == zero.goodput_timeline
+        and zero_plain.kernel_events == zero.kernel_events
+        and zero.replica_stats == {},
+        f"throughput {zero_plain.report.throughput:.1f} == "
+        f"{zero.report.throughput:.1f} rps, "
+        f"{zero_plain.kernel_events:,} == {zero.kernel_events:,} events",
+    )
 
     nofail = ("lb", "no-failover")
     eject = ("lb", "ejection")

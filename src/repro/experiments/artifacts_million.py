@@ -34,8 +34,7 @@ import time
 import tracemalloc
 from typing import Optional, Tuple
 
-from repro.cohort import CohortConfig, cohort_enabled
-from repro.errors import ExperimentError
+from repro.cohort import CohortConfig
 from repro.experiments.micro import MicroConfig, MicroResult, run_micro
 from repro.experiments.results import ArtifactResult
 
@@ -94,12 +93,6 @@ def million_clients(
     so fanning them out would measure scheduler noise instead).
     """
     del jobs
-    if not cohort_enabled():
-        raise ExperimentError(
-            "the million artifact needs the cohort engine; unset "
-            "REPRO_COHORT (or set it to 1) — under REPRO_COHORT=0 a "
-            "million-client run would fall back to per-client simulation"
-        )
     big_clients = max(20_000, int(round(1_000_000 * scale)))
 
     result = ArtifactResult(

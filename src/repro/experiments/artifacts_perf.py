@@ -505,15 +505,9 @@ def bench_million(scale: float = 1.0, repeats: int = 2) -> Dict[str, float]:
     ``events_per_request`` comes from one untimed run at
     :data:`WORK_SCALE`.
     """
-    from repro.cohort import CohortConfig, cohort_enabled
+    from repro.cohort import CohortConfig
     from repro.experiments.micro import MicroConfig, run_micro
 
-    if not cohort_enabled():
-        raise ExperimentError(
-            "bench_million needs the cohort engine; unset REPRO_COHORT "
-            "(or set it to 1) — under REPRO_COHORT=0 the big run would "
-            "fall back to hours of per-client simulation"
-        )
     def _clients(at_scale: float) -> int:
         return max(10_000, int(round(1_000_000 * at_scale)))
 
@@ -597,16 +591,10 @@ def bench_dag(scale: float = 1.0, repeats: int = 2) -> Dict[str, float]:
     seed); ``events_per_request`` comes from one untimed run at
     :data:`WORK_SCALE`.
     """
-    from repro.dag import DagConfig, Edge, ServiceNode, dag_enabled
+    from repro.dag import DagConfig, Edge, ServiceNode
     from repro.ntier.topology import NTierConfig, run_ntier
     from repro.workload.mixes import FixedMix
 
-    if not dag_enabled():
-        raise ExperimentError(
-            "bench_dag needs the DAG engine; unset REPRO_DAG (or set it "
-            "to 1) — under REPRO_DAG=0 the topology silently degrades to "
-            "the linear chain and the rate would gate the wrong code path"
-        )
     leaves = ("text", "media", "graph")
     dag = DagConfig(
         entry="compose",
@@ -680,22 +668,9 @@ def bench_shard(scale: float = 1.0, repeats: int = 2) -> Dict[str, float]:
     comes back through ``NTierResult.shard_events`` either way, so the
     balance story is visible even where the speedup cannot be.
     """
-    from repro.cohort import CohortConfig, cohort_enabled
+    from repro.cohort import CohortConfig
     from repro.ntier.topology import NTierConfig, run_ntier
-    from repro.shard import shard_enabled
 
-    if not cohort_enabled():
-        raise ExperimentError(
-            "bench_shard needs the cohort engine; unset REPRO_COHORT "
-            "(or set it to 1) — under REPRO_COHORT=0 the million-member "
-            "population would fall back to per-client simulation"
-        )
-    if not shard_enabled():
-        raise ExperimentError(
-            "bench_shard needs the sharded kernel; unset REPRO_SHARD "
-            "(or set it to 1) — under REPRO_SHARD=0 every run would "
-            "measure the serial kernel three times"
-        )
     clients = max(20_000, int(round(1_000_000 * scale)))
     config = NTierConfig(
         "async",

@@ -33,12 +33,10 @@ import os
 import time
 from typing import Optional, Tuple
 
-from repro.cohort import CohortConfig, cohort_enabled
-from repro.dag import DagConfig, Edge, ServiceNode, dag_enabled
-from repro.errors import ExperimentError
+from repro.cohort import CohortConfig
+from repro.dag import DagConfig, Edge, ServiceNode
 from repro.experiments.results import ArtifactResult
 from repro.ntier.topology import NTierConfig, NTierResult, run_ntier
-from repro.shard import shard_enabled
 from repro.workload.client import RetryPolicy
 from repro.workload.mixes import FixedMix
 
@@ -126,22 +124,6 @@ def shard_speedup(
     workers, and the wall-clock measurements *are* the artifact).
     """
     del jobs
-    if not cohort_enabled():
-        raise ExperimentError(
-            "the shard artifact needs the cohort engine; unset "
-            "REPRO_COHORT (or set it to 1)"
-        )
-    if not shard_enabled():
-        raise ExperimentError(
-            "the shard artifact needs the sharded kernel; unset "
-            "REPRO_SHARD (or set it to 1) — under REPRO_SHARD=0 every "
-            "row would measure the serial kernel"
-        )
-    if not dag_enabled():
-        raise ExperimentError(
-            "the shard artifact's wide-DAG rows need the DAG engine; "
-            "unset REPRO_DAG (or set it to 1)"
-        )
     cores = os.cpu_count() or 1
     users = max(20_000, int(round(1_000_000 * scale)))
 
@@ -283,7 +265,7 @@ def shard_speedup(
     )
     result.note(
         "the tracked interleaved A/B lives in BENCH_core.json "
-        "(shard_requests_per_sec, shard_speedup); REPRO_SHARD=0 is the "
-        "kill switch and REPRO_SHARDS=N / --shards N the opt-in"
+        "(shard_requests_per_sec, shard_speedup); REPRO_SHARDS=N / "
+        "--shards N is the opt-in"
     )
     return result

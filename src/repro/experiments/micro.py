@@ -296,9 +296,7 @@ def run_micro(
             budget = RetryBudget(policy.retry_budget)
     link = Link.lan(calib, added_latency=config.added_latency)
     cohort = config.cohort
-    lazy_cohort = (
-        cohort is not None and cohort.enabled and cohort.lazy_active()
-    )
+    lazy_cohort = cohort is not None and cohort.lazy_active()
     if lazy_cohort and config.concurrency >= cohort.streaming_threshold:
         # Bounded-heap measurement for bounded-heap populations.
         streaming = True

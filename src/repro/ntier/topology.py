@@ -14,23 +14,17 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
-from repro.cache import CacheConfig, CacheTier, cache_tier_enabled
+from repro.cache import CacheConfig, CacheTier
 from repro.calibration import Calibration, DEFAULT_CALIBRATION
 from repro.cpu.scheduler import CPU
-from repro.dag.config import DagConfig, dag_enabled
+from repro.dag.config import DagConfig
 from repro.errors import ExperimentError
 from repro.faults import FaultInjector, FaultPlan, FaultReport
 from repro.metrics.collector import RunRecorder, RunReport
 from repro.net.link import Link
 from repro.ntier.applications import ProxyApplication, QueryApplication, ServletApplication
 from repro.ntier.pool import ConnectionPool
-from repro.replica import (
-    BalancedProxyApplication,
-    Replica,
-    ReplicaConfig,
-    ReplicaGroup,
-    replica_enabled,
-)
+from repro.replica import BalancedProxyApplication, Replica, ReplicaConfig, ReplicaGroup
 from repro.resilience import CircuitBreaker, HedgePolicy, ResiliencePolicy, RetryBudget
 from repro.servers.base import BaseServer, ServerLimits
 from repro.servers.threaded import ThreadedServer
@@ -81,19 +75,18 @@ class NTierConfig:
     resilience: Optional[ResiliencePolicy] = None
     #: Goodput-timeline bucket width in seconds (0 disables the timeline).
     timeline_bucket: float = 0.0
-    #: Cache tier between Tomcat and MySQL (``None`` → nothing built; also
-    #: subject to the ``REPRO_CACHE=0`` kill switch).
+    #: Cache tier between Tomcat and MySQL (``None`` → nothing built).
     cache: Optional[CacheConfig] = None
     #: Workload mix (``None`` → the RUBBoS Markov navigation, as always).
     mix: Optional[RequestMix] = None
     #: Replicated Tomcat tier behind Apache (``None`` → the classic
-    #: single-instance build; also subject to ``REPRO_REPLICA=0``).
+    #: single-instance build).
     replica: Optional[ReplicaConfig] = None
     #: Cohort aggregation of the user population (``None`` → classic
-    #: per-client build; also subject to ``REPRO_COHORT=0``).
+    #: per-client build).
     cohort: Optional[CohortConfig] = None
     #: Service-dependency DAG replacing the linear three-tier chain
-    #: (``None`` → the classic builders; also subject to ``REPRO_DAG=0``).
+    #: (``None`` → the classic builders).
     #: Mutually exclusive with ``cache`` and ``replica`` — DAG nodes
     #: declare their own replication, and the cache tier is a property
     #: of the Tomcat→MySQL chain the DAG replaces.
@@ -144,27 +137,17 @@ class ThreeTierSystem:
         self.env = env
         self.config = config
         #: Replica group for the Tomcat tier (``None`` in the classic
-        #: single-instance build — which is also what ``replicas=1``,
-        #: ``enabled=False`` and ``REPRO_REPLICA=0`` produce).
+        #: single-instance build — which is also what ``replicas=1``
+        #: produces).
         self.replica_group: Optional[ReplicaGroup] = None
         #: The balancing proxy application (replicated build only); the
         #: runner attaches the hedge policy here once the budget exists.
         self.balanced_app: Optional[BalancedProxyApplication] = None
-        #: The live DAG (``None`` unless a :class:`DagConfig` is active
-        #: and the ``REPRO_DAG`` kill switch allows it — disabled or
-        #: killed DAG configs take the classic builders bit-identically).
+        #: The live DAG (``None`` unless the run carries a :class:`DagConfig`).
         self.dag_system = None
-        if (
-            config.dag is not None
-            and config.dag.active
-            and dag_enabled()
-        ):
+        if config.dag is not None:
             self._build_dag(env, config)
-        elif (
-            config.replica is not None
-            and config.replica.active
-            and replica_enabled()
-        ):
+        elif config.replica is not None and config.replica.active:
             self._build_replicated(env, config)
         else:
             self._build_single(env, config)
@@ -228,14 +211,9 @@ class ThreeTierSystem:
             else None,
         )
         #: Cache tier between Tomcat and MySQL.  Only instantiated when
-        #: configured, enabled *and* not killed via ``REPRO_CACHE=0`` —
-        #: otherwise no object, no RNG fork, no event: bit-identical runs.
+        #: configured — otherwise no object, no RNG fork, no event.
         self.cache_tier: Optional[CacheTier] = None
-        if (
-            config.cache is not None
-            and config.cache.enabled
-            and cache_tier_enabled()
-        ):
+        if config.cache is not None:
             self.cache_tier = CacheTier(
                 env,
                 config.cache,
@@ -306,13 +284,10 @@ class ThreeTierSystem:
             env, self.db_cpu, app=QueryApplication(), name="mysql"
         )
 
-        cache_enabled = (
-            config.cache is not None
-            and config.cache.enabled
-            and cache_tier_enabled()
-        )
         cache_seeds = (
-            SeedStreams(config.seed).fork("cache") if cache_enabled else None
+            SeedStreams(config.seed).fork("cache")
+            if config.cache is not None
+            else None
         )
         suffix = "v7" if config.tomcat_variant == "sync" else "v8"
         replicas = []
@@ -330,7 +305,7 @@ class ThreeTierSystem:
             )
             cache = (
                 CacheTier(env, config.cache, cache_seeds.stream("keys", i), calib)
-                if cache_enabled
+                if config.cache is not None
                 else None
             )
             servlet_app = ServletApplication(db_pool, cache=cache)
@@ -516,11 +491,7 @@ def run_ntier(config: NTierConfig, shards: Optional[int] = None) -> NTierResult:
     env = Environment()
     system = ThreeTierSystem(env, config)
     calib = config.calibration
-    lazy_cohort = (
-        config.cohort is not None
-        and config.cohort.enabled
-        and config.cohort.lazy_active()
-    )
+    lazy_cohort = config.cohort is not None and config.cohort.lazy_active()
     recorder = RunRecorder(
         env,
         warmup=config.warmup,

@@ -6,8 +6,7 @@ study what production systems actually buy with replication — surviving
 *process death*.  Three pieces:
 
 * :class:`ReplicaConfig` — frozen knobs (replica count, balancing
-  policy, passive-ejection thresholds, active-probe period) plus the
-  ``REPRO_REPLICA`` kill switch;
+  policy, passive-ejection thresholds, active-probe period);
 * :class:`Replica` / :class:`LoadBalancer` / :class:`ReplicaGroup` —
   per-instance failover state, round-robin / least-outstanding routing
   with Envoy-style outlier ejection and backoff re-probing, and the
@@ -16,20 +15,17 @@ study what production systems actually buy with replication — surviving
   over the group, with optional budget-bounded hedging
   (:class:`~repro.resilience.hedge.HedgePolicy`).
 
-Zero-impact contract, pinned three ways like every optional layer: no
-``ReplicaConfig`` == ``replicas=1``/``enabled=False`` == killed via
-``REPRO_REPLICA=0`` — all bit-identical to the classic single-instance
-topology (the replicated build path simply never executes).
+No ``ReplicaConfig`` and ``replicas=1`` are both bit-identical to the
+classic single-instance topology: the replicated build path simply never
+executes.
 """
 
-from repro.replica.config import REPLICA_ENV, ReplicaConfig, replica_enabled
+from repro.replica.config import ReplicaConfig
 from repro.replica.group import LoadBalancer, Replica, ReplicaGroup
 from repro.replica.proxy import BalancedProxyApplication
 
 __all__ = [
     "ReplicaConfig",
-    "REPLICA_ENV",
-    "replica_enabled",
     "Replica",
     "LoadBalancer",
     "ReplicaGroup",

@@ -1,45 +1,30 @@
-"""Frozen configuration for replicated tiers, plus the kill switch.
+"""Frozen configuration for replicated tiers.
 
-Mirrors the contract every optional layer in this repo obeys
+Follows the contract every optional layer in this repo obeys
 (:mod:`repro.cache.config` is the template): a frozen value object that
-hashes into sweep cache keys and golden-digest configs, an ``active``
-property that decides whether the replicated build path runs at all, and
-an environment kill switch (``REPRO_REPLICA=0``) that forces the classic
-single-instance topology no matter what the config says — bit-identical
-three ways (config absent == replicas=1/disabled == killed).
+hashes into sweep cache keys and golden-digest configs, and an
+``active`` property that decides whether the replicated build path runs
+at all.  No config and ``replicas=1`` both build the classic
+single-instance topology.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 from repro.errors import ExperimentError
 
-__all__ = ["ReplicaConfig", "REPLICA_ENV", "replica_enabled"]
-
-#: Environment kill switch: set to ``0``/``off``/``no``/``false`` to force
-#: the classic single-instance topology regardless of configuration.
-REPLICA_ENV = "REPRO_REPLICA"
-
-_DISABLED = {"0", "off", "no", "false"}
+__all__ = ["ReplicaConfig"]
 
 #: Load-balancing policies the :class:`~repro.replica.group.LoadBalancer`
 #: implements.
 POLICIES = ("round_robin", "least_outstanding")
 
 
-def replica_enabled() -> bool:
-    """True unless ``REPRO_REPLICA`` disables the replicated topology."""
-    return os.environ.get(REPLICA_ENV, "1").strip().lower() not in _DISABLED
-
-
 @dataclass(frozen=True)
 class ReplicaConfig:
     """How the Tomcat tier is replicated and how Apache routes to it."""
 
-    #: Master toggle; ``False`` behaves exactly like no config at all.
-    enabled: bool = True
     #: Number of Tomcat instances behind Apache.  ``1`` is defined to be
     #: bit-identical to the classic single-instance build.
     replicas: int = 1
@@ -126,4 +111,4 @@ class ReplicaConfig:
         exists for ``replicas > 1`` — that is what makes ``replicas=1``
         trivially bit-identical rather than accidentally so.
         """
-        return self.enabled and self.replicas > 1
+        return self.replicas > 1

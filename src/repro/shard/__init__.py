@@ -24,12 +24,11 @@ that guarantee:
 * per-island RNG streams are path-derived (``SeedStreams``), never
   shared, so the same seeds are drawn no matter which island draws them.
 
-``REPRO_SHARD=0`` is the kill switch: every run drops back to the serial
-kernel bit-identically.  ``REPRO_SHARDS=N`` (or the ``--shards`` CLI
-flag / ``shards=`` runner argument) opts a run in.  Configurations the
-partitioner cannot prove safe (fault plans, retries, resilience
-policies, replica groups, server limits, autotuning) silently fall back
-to the serial kernel — correctness first, speed second.
+``REPRO_SHARDS=N`` (or the ``--shards`` CLI flag / ``shards=`` runner
+argument) opts a run in; without it every run uses the serial kernel.
+Configurations the partitioner cannot prove safe (fault plans, retries,
+resilience policies, replica groups, server limits, autotuning) silently
+fall back to the serial kernel — correctness first, speed second.
 """
 
 from __future__ import annotations
@@ -37,32 +36,29 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
-__all__ = ["ShardStats", "resolve_shards", "shard_enabled"]
+from repro.errors import ExperimentError
 
-
-def shard_enabled() -> bool:
-    """``False`` when the ``REPRO_SHARD=0`` kill switch is set."""
-    return os.environ.get("REPRO_SHARD", "1") != "0"
+__all__ = ["ShardStats", "resolve_shards"]
 
 
 def resolve_shards(explicit=None) -> int:
     """Number of shards a run should use.
 
     An explicit runner/CLI argument wins; otherwise the ``REPRO_SHARDS``
-    environment variable; otherwise 1 (serial).  The ``REPRO_SHARD=0``
-    kill switch forces 1 regardless.
+    environment variable; otherwise 1 (serial).  Raises
+    :class:`ExperimentError` on anything but a positive integer.
     """
-    if not shard_enabled():
-        return 1
-    if explicit is not None:
-        return max(1, int(explicit))
-    raw = os.environ.get("REPRO_SHARDS", "").strip()
-    if not raw:
-        return 1
+    if explicit is None:
+        explicit = os.environ.get("REPRO_SHARDS", "").strip() or 1
     try:
-        return max(1, int(raw))
+        shards = int(explicit)
     except ValueError:
-        return 1
+        raise ExperimentError(
+            f"shards must be a positive integer, got {explicit!r}"
+        ) from None
+    if shards < 1:
+        raise ExperimentError(f"shards must be >= 1, got {shards}")
+    return shards
 
 
 @dataclass(frozen=True)

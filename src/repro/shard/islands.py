@@ -126,7 +126,7 @@ def build_micro_client(config, streaming: bool):
     # by its own now>=warmup check, at the same records).
     link = Link.lan(calib, added_latency=config.added_latency)
     cohort = config.cohort
-    lazy_cohort = cohort is not None and cohort.enabled and cohort.lazy_active()
+    lazy_cohort = cohort is not None and cohort.lazy_active()
     if lazy_cohort and config.concurrency >= cohort.streaming_threshold:
         streaming = True
     recorder = RunRecorder(env, warmup=config.warmup, streaming=streaming)
@@ -187,7 +187,7 @@ def build_micro_server(config):
     # serial: build_population attaches one connection per client here.
     island.serve_cut(0, server, link, calib, send_buffer_size=config.send_buffer_size)
     cohort = config.cohort
-    lazy_cohort = cohort is not None and cohort.enabled and cohort.lazy_active()
+    lazy_cohort = cohort is not None and cohort.lazy_active()
     if not lazy_cohort:
         island.attach_edges(0, config.concurrency)
     elif cohort.eager_connections:
@@ -219,11 +219,7 @@ def build_micro_server(config):
 # ----------------------------------------------------------------------
 
 def _ntier_lazy_cohort(config) -> bool:
-    return (
-        config.cohort is not None
-        and config.cohort.enabled
-        and config.cohort.lazy_active()
-    )
+    return config.cohort is not None and config.cohort.lazy_active()
 
 
 def build_ntier_client(config):
@@ -400,7 +396,7 @@ def build_ntier_apache(config, index: int):
 
 def build_ntier_tomcat(config, index: int, include_db: bool):
     """Tomcat island (optionally bundling mysql when *include_db*)."""
-    from repro.cache import CacheTier, cache_tier_enabled
+    from repro.cache import CacheTier
     from repro.ntier.applications import QueryApplication, ServletApplication
     from repro.ntier.pool import ConnectionPool
     from repro.servers.threaded import ThreadedServer
@@ -434,11 +430,7 @@ def build_ntier_tomcat(config, index: int, include_db: bool):
             connect=lambda i: island.make_stub(2, tier_link, announce=False),
         )
     cache_tier = None
-    if (
-        config.cache is not None
-        and config.cache.enabled
-        and cache_tier_enabled()
-    ):
+    if config.cache is not None:
         cache_tier = CacheTier(
             env,
             config.cache,

@@ -34,7 +34,6 @@ def _cohort_dynamic(cohort) -> bool:
     active and the bundle is not provisioned eagerly at build time)."""
     return (
         cohort is not None
-        and cohort.enabled
         and cohort.lazy_active()
         and not cohort.eager_connections
     )
@@ -104,19 +103,13 @@ def ntier_islands(config, shards: int) -> int:
         return 0
     if config.resilience is not None and config.resilience.enabled:
         return 0
-    if config.replica is not None:
-        from repro.replica import replica_enabled
-
-        if config.replica.active and replica_enabled():
-            return 0
+    if config.replica is not None and config.replica.active:
+        return 0
     # The n-tier front (apache) is thread-per-connection, so a
     # demand-grown cohort bundle cannot cross the client cut; only a
     # provisioned (eager_connections) bundle shards here.
     if _cohort_dynamic(config.cohort):
         return 0
     if config.dag is not None:
-        from repro.dag.config import dag_enabled
-
-        if config.dag.active and dag_enabled():
-            return 2
+        return 2
     return min(shards, 4)

@@ -13,8 +13,7 @@ Two construction strategies exist:
 * the **aggregate** :class:`~repro.cohort.engine.Cohort` engine
   (``CohortConfig(materialize="lazy")``) — counting state plus a bounded
   connection bundle, for populations far beyond what per-object
-  simulation can hold.  ``REPRO_COHORT=0`` demotes it to the classic
-  builder.
+  simulation can hold.
 """
 
 from __future__ import annotations
@@ -142,14 +141,13 @@ def build_population(
     carries an absolute deadline that downstream tiers honour.
 
     ``cohort`` selects the aggregate engine: with ``materialize="lazy"``
-    (and ``REPRO_COHORT`` not disabling it) a :class:`CohortPopulation`
-    is returned instead of N live clients; ``materialize="always"`` — and
-    the kill switch — fall back to the classic builder here, so the same
-    scenario runs on either machinery.  ``lazy_rampup`` makes the classic
-    builder spawn each client from the previous one's start event (one
-    pending start timer at any moment) instead of pre-scheduling N start
-    events; it is opt-in because deferring construction is visible to the
-    server and would perturb historical digests.
+    a :class:`CohortPopulation` is returned instead of N live clients;
+    ``materialize="always"`` falls back to the classic builder here, so
+    the same scenario runs on either machinery.  ``lazy_rampup`` makes the
+    classic builder spawn each client from the previous one's start event
+    (one pending start timer at any moment) instead of pre-scheduling N
+    start events; it is opt-in because deferring construction is visible
+    to the server and would perturb historical digests.
 
     ``connect`` overrides the connection factory (``connect(index)`` →
     connection-like object): the sharded kernel supplies one returning a
@@ -161,7 +159,7 @@ def build_population(
         raise ValueError(f"population size must be >= 1, got {size!r}")
     think = think or NoThink()
     first_think = False
-    if cohort is not None and cohort.enabled:
+    if cohort is not None:
         cohort.validate()
         first_think = cohort.first_think
         if cohort.lazy_active():

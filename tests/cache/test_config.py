@@ -1,8 +1,8 @@
-"""CacheConfig validation and the REPRO_CACHE kill switch."""
+"""CacheConfig validation."""
 
 import pytest
 
-from repro.cache import CACHE_TIER_ENV, CacheConfig, cache_tier_enabled
+from repro.cache import CacheConfig
 from repro.errors import ExperimentError
 
 pytestmark = pytest.mark.cache
@@ -34,19 +34,3 @@ def test_invalid_settings_raise(kwargs):
     with pytest.raises(ExperimentError):
         CacheConfig(**kwargs).validate()
 
-
-@pytest.mark.parametrize("value", ["0", "off", "no", "false", " FALSE ", "Off"])
-def test_kill_switch_disables(monkeypatch, value):
-    monkeypatch.setenv(CACHE_TIER_ENV, value)
-    assert cache_tier_enabled() is False
-
-
-@pytest.mark.parametrize("value", ["1", "on", "yes", ""])
-def test_kill_switch_other_values_enable(monkeypatch, value):
-    monkeypatch.setenv(CACHE_TIER_ENV, value)
-    assert cache_tier_enabled() is True
-
-
-def test_kill_switch_default_is_enabled(monkeypatch):
-    monkeypatch.delenv(CACHE_TIER_ENV, raising=False)
-    assert cache_tier_enabled() is True

@@ -4,13 +4,13 @@ import tracemalloc
 
 import pytest
 
-from repro.cohort import COHORT_ENV, CohortConfig
+from repro.cohort import CohortConfig
 from repro.experiments.micro import MicroConfig, run_micro
 
 pytestmark = pytest.mark.cohort
 
 
-def test_hundred_thousand_clients_bounded_heap(monkeypatch):
+def test_hundred_thousand_clients_bounded_heap():
     """100k closed-loop clients under a flat traced-heap budget.
 
     The classic builder allocates ~100k clients + connections (hundreds
@@ -19,7 +19,6 @@ def test_hundred_thousand_clients_bounded_heap(monkeypatch):
     generous headroom over the ~0.2 MB measured peak — the assertion is
     that heap does not scale with N, not a tight byte count.
     """
-    monkeypatch.setenv(COHORT_ENV, "1")
     config = MicroConfig(
         "SingleT-Async",
         100_000,

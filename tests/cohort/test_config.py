@@ -1,8 +1,8 @@
-"""CohortConfig validation and the REPRO_COHORT kill switch."""
+"""CohortConfig validation and engine selection."""
 
 import pytest
 
-from repro.cohort import COHORT_ENV, CohortConfig, cohort_enabled
+from repro.cohort import CohortConfig
 from repro.errors import ExperimentError
 
 pytestmark = pytest.mark.cohort
@@ -28,27 +28,6 @@ def test_invalid_config_rejected(kwargs):
         CohortConfig(**kwargs).validate()
 
 
-def test_kill_switch_default_on(monkeypatch):
-    monkeypatch.delenv(COHORT_ENV, raising=False)
-    assert cohort_enabled()
-
-
-@pytest.mark.parametrize("value", ["0", "off", "no", "false", " FALSE "])
-def test_kill_switch_disabling_values(monkeypatch, value):
-    monkeypatch.setenv(COHORT_ENV, value)
-    assert not cohort_enabled()
-
-
-@pytest.mark.parametrize("value", ["1", "on", "yes", ""])
-def test_kill_switch_enabling_values(monkeypatch, value):
-    monkeypatch.setenv(COHORT_ENV, value)
-    assert cohort_enabled()
-
-
-def test_lazy_active_requires_all_three(monkeypatch):
-    monkeypatch.setenv(COHORT_ENV, "1")
+def test_lazy_active_follows_materialize():
     assert CohortConfig().lazy_active()
-    assert not CohortConfig(enabled=False).lazy_active()
     assert not CohortConfig(materialize="always").lazy_active()
-    monkeypatch.setenv(COHORT_ENV, "0")
-    assert not CohortConfig().lazy_active()

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cohort import COHORT_ENV, CohortConfig
+from repro.cohort import CohortConfig
 from repro.errors import WorkloadError
 from repro.experiments.micro import MicroConfig, run_micro
 from repro.faults import FaultPlan
@@ -21,8 +21,7 @@ from repro.workload.population import build_population
 pytestmark = pytest.mark.cohort
 
 
-def _build(env, cpu, lan, calib, monkeypatch, size=60, **kwargs):
-    monkeypatch.setenv(COHORT_ENV, "1")
+def _build(env, cpu, lan, calib, size=60, **kwargs):
     server = ThreadedServer(env, cpu)
     cohort = kwargs.pop(
         "cohort", CohortConfig(first_think=True, max_inflight=8)
@@ -41,8 +40,8 @@ def _build(env, cpu, lan, calib, monkeypatch, size=60, **kwargs):
     )
 
 
-def test_lazy_build_returns_cohort_population(env, cpu, lan, calib, monkeypatch):
-    population = _build(env, cpu, lan, calib, monkeypatch)
+def test_lazy_build_returns_cohort_population(env, cpu, lan, calib):
+    population = _build(env, cpu, lan, calib)
     assert population.size == 60
     assert population.clients == []
     (cohort,) = population.cohorts
@@ -62,9 +61,9 @@ class _UniformThink(ThinkTime):
     [ExponentialThink(0.05), FixedThink(0.05), NoThink(), _UniformThink()],
     ids=["exponential", "fixed", "none", "sampled"],
 )
-def test_member_accounting_sums_to_size(env, cpu, lan, calib, monkeypatch, think):
+def test_member_accounting_sums_to_size(env, cpu, lan, calib, think):
     """Every arrival engine keeps the member ledger closed."""
-    population = _build(env, cpu, lan, calib, monkeypatch, think=think)
+    population = _build(env, cpu, lan, calib, think=think)
     (cohort,) = population.cohorts
     for until in (0.01, 0.1, 0.3):
         env.run(until=until)
@@ -75,9 +74,9 @@ def test_member_accounting_sums_to_size(env, cpu, lan, calib, monkeypatch, think
     assert cohort.stats.entered == cohort.size
 
 
-def test_bundle_respects_max_inflight(env, cpu, lan, calib, monkeypatch):
+def test_bundle_respects_max_inflight(env, cpu, lan, calib):
     population = _build(
-        env, cpu, lan, calib, monkeypatch,
+        env, cpu, lan, calib,
         cohort=CohortConfig(first_think=True, max_inflight=3),
         think=ExponentialThink(0.001),
     )
@@ -88,8 +87,8 @@ def test_bundle_respects_max_inflight(env, cpu, lan, calib, monkeypatch):
     assert len(population.connections) <= 3
 
 
-def test_observer_materialize_and_fold_back(env, cpu, lan, calib, monkeypatch):
-    population = _build(env, cpu, lan, calib, monkeypatch)
+def test_observer_materialize_and_fold_back(env, cpu, lan, calib):
+    population = _build(env, cpu, lan, calib)
     (cohort,) = population.cohorts
     env.run(until=0.05)
     client = cohort.materialize(7)
@@ -125,8 +124,7 @@ def _episode_config(concurrency=400):
     )
 
 
-def test_fold_back_invariants_under_faults(monkeypatch):
-    monkeypatch.setenv(COHORT_ENV, "1")
+def test_fold_back_invariants_under_faults():
     result = run_micro(_episode_config())
     stats = result.cohort_stats
     assert stats["episodes"] > 0
@@ -139,8 +137,7 @@ def test_fold_back_invariants_under_faults(monkeypatch):
     assert totals["successes"] >= stats["completed"]
 
 
-def test_lazy_engine_deterministic_across_runs(monkeypatch):
-    monkeypatch.setenv(COHORT_ENV, "1")
+def test_lazy_engine_deterministic_across_runs():
     first = run_micro(_episode_config())
     second = run_micro(_episode_config())
     assert first.report == second.report

@@ -1,13 +1,12 @@
-"""The three-way zero-impact contract of the cohort layer.
+"""The zero-impact contract of the cohort layer.
 
-``materialize="always"``, ``enabled=False`` and the ``REPRO_COHORT=0``
-kill switch must all route through the classic eager builder and be
-bit-identical to passing no cohort config at all.
+``materialize="always"`` must route through the classic eager builder
+and be bit-identical to passing no cohort config at all.
 """
 
 import pytest
 
-from repro.cohort import COHORT_ENV, CohortConfig
+from repro.cohort import CohortConfig
 from repro.experiments.micro import MicroConfig, run_micro
 
 pytestmark = pytest.mark.cohort
@@ -32,33 +31,14 @@ def _identical(a, b):
     )
 
 
-def test_materialize_always_is_bit_identical_to_no_cohort(monkeypatch):
-    monkeypatch.setenv(COHORT_ENV, "1")
+def test_materialize_always_is_bit_identical_to_no_cohort():
     plain = run_micro(_config(None))
     always = run_micro(_config(CohortConfig(materialize="always")))
     assert _identical(plain, always)
     assert always.cohort_stats == {}
 
 
-def test_disabled_config_is_bit_identical_to_no_cohort(monkeypatch):
-    monkeypatch.setenv(COHORT_ENV, "1")
-    plain = run_micro(_config(None))
-    disabled = run_micro(_config(CohortConfig(enabled=False)))
-    assert _identical(plain, disabled)
-    assert disabled.cohort_stats == {}
-
-
-def test_kill_switch_demotes_lazy_to_classic(monkeypatch):
-    monkeypatch.setenv(COHORT_ENV, "1")
-    plain = run_micro(_config(None))
-    monkeypatch.setenv(COHORT_ENV, "0")
-    demoted = run_micro(_config(CohortConfig(materialize="lazy")))
-    assert _identical(plain, demoted)
-    assert demoted.cohort_stats == {}
-
-
-def test_lazy_engine_actually_engages(monkeypatch):
-    monkeypatch.setenv(COHORT_ENV, "1")
+def test_lazy_engine_actually_engages():
     lazy = run_micro(_config(CohortConfig(materialize="lazy")))
     assert lazy.cohort_stats
     assert lazy.cohort_stats["entered"] == 64.0

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cohort import COHORT_ENV, CohortConfig
+from repro.cohort import CohortConfig
 from repro.ntier.topology import NTierConfig, run_ntier
 
 pytestmark = pytest.mark.cohort
@@ -21,8 +21,7 @@ def _config(cohort):
     )
 
 
-def test_ntier_lazy_cohort_engages_and_reproduces(monkeypatch):
-    monkeypatch.setenv(COHORT_ENV, "1")
+def test_ntier_lazy_cohort_engages_and_reproduces():
     first = run_ntier(_config(CohortConfig(first_think=True, max_inflight=128)))
     second = run_ntier(_config(CohortConfig(first_think=True, max_inflight=128)))
     assert first.cohort_stats
@@ -33,8 +32,7 @@ def test_ntier_lazy_cohort_engages_and_reproduces(monkeypatch):
     assert first.kernel_events == second.kernel_events
 
 
-def test_ntier_always_mode_is_bit_identical_to_no_cohort(monkeypatch):
-    monkeypatch.setenv(COHORT_ENV, "1")
+def test_ntier_always_mode_is_bit_identical_to_no_cohort():
     plain = run_ntier(_config(None))
     always = run_ntier(_config(CohortConfig(materialize="always")))
     assert plain.report == always.report

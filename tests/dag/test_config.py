@@ -1,14 +1,8 @@
-"""DagConfig / ServiceNode / Edge validation and the kill switch."""
+"""DagConfig / ServiceNode / Edge validation."""
 
 import pytest
 
-from repro.dag import (
-    DAG_ENV,
-    DagConfig,
-    Edge,
-    ServiceNode,
-    dag_enabled,
-)
+from repro.dag import DagConfig, Edge, ServiceNode
 from repro.errors import ExperimentError
 from repro.replica import ReplicaConfig
 
@@ -28,7 +22,6 @@ def _linear():
 def test_valid_config_round_trips():
     config = _linear()
     assert config.validate() is config
-    assert config.active
     assert config.node("back").name == "back"
 
 
@@ -139,8 +132,7 @@ def test_validate_rejects_cycles():
         config.validate()
 
 
-def test_replicated_node_must_be_a_leaf(monkeypatch):
-    monkeypatch.setenv("REPRO_REPLICA", "1")
+def test_replicated_node_must_be_a_leaf():
     config = DagConfig(
         entry="a",
         nodes=(
@@ -154,8 +146,7 @@ def test_replicated_node_must_be_a_leaf(monkeypatch):
         config.validate()
 
 
-def test_replicated_node_needs_exactly_one_upstream_edge(monkeypatch):
-    monkeypatch.setenv("REPRO_REPLICA", "1")
+def test_replicated_node_needs_exactly_one_upstream_edge():
     config = DagConfig(
         entry="a",
         nodes=(
@@ -191,28 +182,7 @@ def test_fan_out_counts_only_async_edges():
     assert node.fan_out == 2
 
 
-def test_disabled_or_empty_config_is_inactive():
-    assert not DagConfig(entry="a", nodes=(), enabled=True).active
-    assert not _linear().__class__(
-        entry="front", nodes=_linear().nodes, enabled=False
-    ).active
+def test_empty_config_is_rejected():
+    with pytest.raises(ExperimentError, match="at least one node"):
+        DagConfig(entry="a", nodes=()).validate()
 
-
-@pytest.mark.parametrize("value, expected", [
-    ("0", False),
-    ("off", False),
-    ("no", False),
-    ("false", False),
-    ("FALSE", False),
-    ("1", True),
-    ("on", True),
-    ("", True),
-])
-def test_kill_switch_values(monkeypatch, value, expected):
-    monkeypatch.setenv(DAG_ENV, value)
-    assert dag_enabled() is expected
-
-
-def test_kill_switch_defaults_on(monkeypatch):
-    monkeypatch.delenv(DAG_ENV, raising=False)
-    assert dag_enabled()

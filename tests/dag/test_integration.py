@@ -11,7 +11,7 @@ names.
 
 import pytest
 
-from repro.dag import DAG_ENV, DagConfig, Edge, ServiceNode
+from repro.dag import DagConfig, Edge, ServiceNode
 from repro.faults import DegradeWindow, FaultPlan
 from repro.ntier.topology import NTierConfig, run_ntier
 from repro.resilience import BreakerConfig, ResiliencePolicy
@@ -58,11 +58,6 @@ def _run(dag, *, fault_plan=None, resilience=None, users=20, duration=1.5,
 _GRAY = FaultPlan(degrade_windows=(
     DegradeWindow(start=0.5, end=1.2, instance=1, share=0.98),
 ))
-
-
-@pytest.fixture(autouse=True)
-def _dag_on(monkeypatch):
-    monkeypatch.setenv(DAG_ENV, "1")
 
 
 def _edge_totals(stats, edge):

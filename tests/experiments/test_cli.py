@@ -62,6 +62,17 @@ def test_invalid_jobs_is_an_error(capsys):
     assert "jobs" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("shards", ["0", "-3"])
+def test_invalid_shards_is_an_error_before_simulating(shards, monkeypatch, capsys):
+    def no_run(artifact):
+        raise AssertionError("an artifact ran despite a malformed --shards")
+
+    monkeypatch.delenv("REPRO_SHARDS", raising=False)
+    monkeypatch.setattr("repro.cli.get_experiment", no_run)
+    assert main(["run", "tab1", "--shards", shards]) == 2
+    assert "shards" in capsys.readouterr().err
+
+
 def test_parser_cache_sweep_flags():
     args = build_parser().parse_args(["cache", "--scale", "0.5", "--jobs", "4"])
     assert args.scale == 0.5

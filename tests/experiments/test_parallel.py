@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.dag import DagConfig, Edge, ServiceNode
 from repro.errors import ExperimentError
 from repro.experiments import parallel
 from repro.experiments.micro import MicroConfig, run_micro
@@ -9,12 +10,14 @@ from repro.experiments.parallel import (
     SweepExecutor,
     cached_call,
     cached_micro,
+    cached_ntier,
     clear_cache,
     point_digest,
     resolve_jobs,
 )
 from repro.experiments.registry import run_experiment
 from repro.net.messages import Request
+from repro.ntier.topology import NTierConfig, run_ntier
 from repro.workload.mixes import RequestMix
 
 
@@ -200,6 +203,28 @@ def test_cached_call_memoises_by_arguments(tmp_path, monkeypatch):
     monkeypatch.setenv(parallel.CACHE_ENV, "0")
     assert cached_call(divmod, 8, 3, label="memo") == (2, 2)  # plain call
     assert len(list(tmp_path.rglob("*.pkl"))) == 2
+
+
+
+def test_stray_environment_cannot_poison_the_memo(tmp_path, monkeypatch):
+    """The memo key covers the config, not the environment, so nothing
+    outside the config may change what a run computes: a stray
+    ``REPRO_DAG=0`` must neither turn the DAG off nor leave a
+    linear-chain result in the memo for later DAG runs."""
+    monkeypatch.setenv(parallel.CACHE_DIR_ENV, str(tmp_path))
+    config = NTierConfig(
+        "async", users=10, think_mean=0.2, duration=0.6, warmup=0.2,
+        dag=DagConfig(entry="front", nodes=(
+            ServiceNode("front", edges=(Edge("back"),)),
+            ServiceNode("back"),
+        )),
+    )
+    monkeypatch.setenv("REPRO_DAG", "0")
+    cached_ntier(config, label="poison")
+    monkeypatch.delenv("REPRO_DAG")
+    result = cached_ntier(config, label="poison")
+    assert result.dag_stats
+    assert result == run_ntier(config)
 
 
 # ----------------------------------------------------------------------

@@ -1,9 +1,9 @@
-"""ReplicaConfig validation, the ``active`` property and the kill switch."""
+"""ReplicaConfig validation and the ``active`` property."""
 
 import pytest
 
 from repro.errors import ExperimentError
-from repro.replica import REPLICA_ENV, ReplicaConfig, replica_enabled
+from repro.replica import ReplicaConfig
 
 pytestmark = pytest.mark.failover
 
@@ -35,9 +35,8 @@ def test_zero_threshold_is_legal_and_disables_ejection():
     assert ReplicaConfig(ejection_threshold=0).validate().ejection_threshold == 0
 
 
-def test_active_requires_enabled_and_more_than_one_replica():
+def test_active_requires_more_than_one_replica():
     assert not ReplicaConfig().active                      # replicas=1
-    assert not ReplicaConfig(enabled=False, replicas=3).active
     assert ReplicaConfig(replicas=2).active
 
 
@@ -46,17 +45,3 @@ def test_config_is_hashable_and_value_comparable():
     assert hash(ReplicaConfig()) == hash(ReplicaConfig())
     assert ReplicaConfig() != ReplicaConfig(policy="least_outstanding")
 
-
-@pytest.mark.parametrize("value", ["0", "off", "no", "false", " FALSE "])
-def test_kill_switch_values(monkeypatch, value):
-    monkeypatch.setenv(REPLICA_ENV, value)
-    assert not replica_enabled()
-
-
-@pytest.mark.parametrize("value", [None, "1", "on", "yes", "true", ""])
-def test_enabled_values(monkeypatch, value):
-    if value is None:
-        monkeypatch.delenv(REPLICA_ENV, raising=False)
-    else:
-        monkeypatch.setenv(REPLICA_ENV, value)
-    assert replica_enabled()

@@ -6,7 +6,7 @@ import pytest
 
 from repro.faults import CrashWindow, FaultPlan
 from repro.ntier.topology import NTierConfig, run_ntier
-from repro.replica import REPLICA_ENV, ReplicaConfig
+from repro.replica import ReplicaConfig
 from repro.resilience import (
     BreakerConfig,
     HedgeConfig,
@@ -55,16 +55,14 @@ def _fingerprint(result):
     )
 
 
-def test_identical_seeds_are_bit_identical(monkeypatch):
-    monkeypatch.setenv(REPLICA_ENV, "1")
+def test_identical_seeds_are_bit_identical():
     first = run_ntier(_config())
     second = run_ntier(_config())
     assert _fingerprint(first) == _fingerprint(second)
     assert first.replica_stats["replica_crashes"] == 1.0
 
 
-def test_different_seeds_diverge(monkeypatch):
-    monkeypatch.setenv(REPLICA_ENV, "1")
+def test_different_seeds_diverge():
     assert _fingerprint(run_ntier(_config(seed=5))) != _fingerprint(
         run_ntier(_config(seed=6))
     )

@@ -53,7 +53,7 @@ class TestMicroRules:
         """An all-zero plan instantiates no fault machinery — shardable."""
         assert micro_islands(_micro(fault_plan=FaultPlan()), 2) == 2
 
-    def test_dynamic_cohort_needs_a_passive_front(self, monkeypatch):
+    def test_dynamic_cohort_needs_a_passive_front(self):
         """Demand-grown bundles only shard over selector-only attaches.
 
         A mid-run ``attach`` on a thread-per-connection front spawns a
@@ -61,7 +61,6 @@ class TestMicroRules:
         live-thread footprint window — so sTomcat-Sync must run serial
         while SingleT-Async (selector registration only) may shard.
         """
-        monkeypatch.setenv("REPRO_COHORT", "1")
         dynamic = CohortConfig(max_inflight=64, first_think=True)
         passive = MicroConfig(
             "SingleT-Async", 2000, duration=0.4, warmup=0.1,
@@ -74,9 +73,8 @@ class TestMicroRules:
         assert micro_islands(passive, 2) == 2
         assert micro_islands(threaded, 2) == 0
 
-    def test_eager_cohort_shards_over_any_front(self, monkeypatch):
+    def test_eager_cohort_shards_over_any_front(self):
         """A provisioned bundle attaches before the clock starts."""
-        monkeypatch.setenv("REPRO_COHORT", "1")
         eager = CohortConfig(
             max_inflight=64, first_think=True, eager_connections=True
         )
@@ -105,17 +103,15 @@ class TestNTierRules:
     def test_teardown_sources_fall_back_serial(self, kw):
         assert ntier_islands(_ntier(**kw), 4) == 0
 
-    def test_dynamic_cohort_falls_back_serial(self, monkeypatch):
+    def test_dynamic_cohort_falls_back_serial(self):
         """The n-tier front (apache) is thread-per-connection."""
-        monkeypatch.setenv("REPRO_COHORT", "1")
         config = _ntier(
             think_mean=4.0,
             cohort=CohortConfig(max_inflight=64, first_think=True),
         )
         assert ntier_islands(config, 2) == 0
 
-    def test_eager_cohort_shards(self, monkeypatch):
-        monkeypatch.setenv("REPRO_COHORT", "1")
+    def test_eager_cohort_shards(self):
         config = _ntier(
             think_mean=4.0,
             cohort=CohortConfig(
@@ -124,12 +120,13 @@ class TestNTierRules:
         )
         assert ntier_islands(config, 4) == 4
 
-    def test_killed_cohort_is_not_dynamic(self, monkeypatch):
-        """Under REPRO_COHORT=0 the lazy engine demotes to the classic
-        builder, so the dynamic-bundle exclusion no longer applies."""
-        monkeypatch.setenv("REPRO_COHORT", "0")
+    def test_always_cohort_is_not_dynamic(self):
+        """``materialize="always"`` runs the classic builder, so the
+        dynamic-bundle exclusion does not apply."""
         config = _ntier(
             think_mean=4.0,
-            cohort=CohortConfig(max_inflight=64, first_think=True),
+            cohort=CohortConfig(
+                materialize="always", max_inflight=64, first_think=True
+            ),
         )
         assert ntier_islands(config, 2) == 2

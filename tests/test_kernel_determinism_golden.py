@@ -436,28 +436,19 @@ def _digest_result(result) -> str:
     return hashlib.sha256(repr(payload).encode("utf-8")).hexdigest()[:16]
 
 
-def _run_all(jobs: int) -> dict:
+def _run_all(configs: dict, jobs: int) -> dict:
+    """Digest one config matrix through the sweep executor."""
     executor = SweepExecutor("golden", scale=1.0, jobs=jobs, cache_dir=None)
-    results = executor.map_micro(dict(_CONFIGS))
+    if isinstance(next(iter(configs.values())), NTierConfig):
+        results = executor.map_ntier(dict(configs))
+    else:
+        results = executor.map_micro(dict(configs))
     return {name: _digest_result(result) for name, result in results.items()}
-
-
-def _run_all_ntier(jobs: int) -> dict:
-    """The n-tier rows, with the cache kill switch pinned *on*.
-
-    Pinning ``REPRO_CACHE=1`` keeps the digest meaningful even when the
-    developer's shell disables the tier; worker processes inherit it.
-    """
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setenv("REPRO_CACHE", "1")
-        executor = SweepExecutor("golden", scale=1.0, jobs=jobs, cache_dir=None)
-        results = executor.map_ntier(dict(_NTIER_CONFIGS))
-        return {name: _digest_result(result) for name, result in results.items()}
 
 
 @pytest.fixture(scope="module")
 def serial_digests() -> dict:
-    return _run_all(jobs=1)
+    return _run_all(_CONFIGS, jobs=1)
 
 
 def test_golden_digests_serial(serial_digests):
@@ -466,12 +457,12 @@ def test_golden_digests_serial(serial_digests):
 
 def test_golden_digests_parallel_fanout(serial_digests):
     """jobs=4 must reproduce the serial (and therefore golden) rows."""
-    assert _run_all(jobs=4) == GOLDEN == serial_digests
+    assert _run_all(_CONFIGS, jobs=4) == GOLDEN == serial_digests
 
 
 @pytest.fixture(scope="module")
 def serial_ntier_digests() -> dict:
-    return _run_all_ntier(jobs=1)
+    return _run_all(_NTIER_CONFIGS, jobs=1)
 
 
 @pytest.mark.cache
@@ -482,27 +473,12 @@ def test_golden_ntier_cache_digest_serial(serial_ntier_digests):
 @pytest.mark.cache
 def test_golden_ntier_cache_digest_parallel(serial_ntier_digests):
     """jobs=4 must reproduce the cache-enabled n-tier row too."""
-    assert _run_all_ntier(jobs=4) == GOLDEN_NTIER == serial_ntier_digests
-
-
-def _run_all_replica(jobs: int) -> dict:
-    """The replica rows, with both kill switches pinned *on*.
-
-    ``REPRO_REPLICA=1`` keeps the replicated build path active (the
-    "hedged" row also needs ``REPRO_CACHE=1`` for its per-replica
-    caches); worker processes inherit both.
-    """
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setenv("REPRO_REPLICA", "1")
-        patch.setenv("REPRO_CACHE", "1")
-        executor = SweepExecutor("golden", scale=1.0, jobs=jobs, cache_dir=None)
-        results = executor.map_ntier(dict(_REPLICA_CONFIGS))
-        return {name: _digest_result(result) for name, result in results.items()}
+    assert _run_all(_NTIER_CONFIGS, jobs=4) == GOLDEN_NTIER == serial_ntier_digests
 
 
 @pytest.fixture(scope="module")
 def serial_replica_digests() -> dict:
-    return _run_all_replica(jobs=1)
+    return _run_all(_REPLICA_CONFIGS, jobs=1)
 
 
 @pytest.mark.failover
@@ -513,25 +489,14 @@ def test_golden_ntier_replica_digest_serial(serial_replica_digests):
 @pytest.mark.failover
 def test_golden_ntier_replica_digest_parallel(serial_replica_digests):
     """jobs=4 must reproduce the replica-enabled n-tier rows too."""
-    assert _run_all_replica(jobs=4) == GOLDEN_REPLICA == serial_replica_digests
-
-
-def _run_all_cohort(jobs: int) -> dict:
-    """The lazy-cohort rows, with the cohort kill switch pinned *on*.
-
-    Pinning ``REPRO_COHORT=1`` keeps the digest meaningful even when the
-    developer's shell disables the engine; worker processes inherit it.
-    """
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setenv("REPRO_COHORT", "1")
-        executor = SweepExecutor("golden", scale=1.0, jobs=jobs, cache_dir=None)
-        results = executor.map_micro(dict(_COHORT_CONFIGS))
-        return {name: _digest_result(result) for name, result in results.items()}
+    assert (
+        _run_all(_REPLICA_CONFIGS, jobs=4) == GOLDEN_REPLICA == serial_replica_digests
+    )
 
 
 @pytest.fixture(scope="module")
 def serial_cohort_digests() -> dict:
-    return _run_all_cohort(jobs=1)
+    return _run_all(_COHORT_CONFIGS, jobs=1)
 
 
 @pytest.mark.cohort
@@ -542,27 +507,12 @@ def test_golden_cohort_digest_serial(serial_cohort_digests):
 @pytest.mark.cohort
 def test_golden_cohort_digest_parallel(serial_cohort_digests):
     """jobs=4 must reproduce the lazy-cohort rows too."""
-    assert _run_all_cohort(jobs=4) == GOLDEN_COHORT == serial_cohort_digests
-
-
-def _run_all_dag(jobs: int) -> dict:
-    """The DAG rows, with the DAG and replica kill switches pinned *on*.
-
-    ``REPRO_DAG=1`` keeps the DAG build path active (the "dag-quorum"
-    row also needs ``REPRO_REPLICA=1`` for its replicated leaf); worker
-    processes inherit both.
-    """
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setenv("REPRO_DAG", "1")
-        patch.setenv("REPRO_REPLICA", "1")
-        executor = SweepExecutor("golden", scale=1.0, jobs=jobs, cache_dir=None)
-        results = executor.map_ntier(dict(_DAG_CONFIGS))
-        return {name: _digest_result(result) for name, result in results.items()}
+    assert _run_all(_COHORT_CONFIGS, jobs=4) == GOLDEN_COHORT == serial_cohort_digests
 
 
 @pytest.fixture(scope="module")
 def serial_dag_digests() -> dict:
-    return _run_all_dag(jobs=1)
+    return _run_all(_DAG_CONFIGS, jobs=1)
 
 
 @pytest.mark.dag
@@ -573,32 +523,18 @@ def test_golden_dag_digest_serial(serial_dag_digests):
 @pytest.mark.dag
 def test_golden_dag_digest_parallel(serial_dag_digests):
     """jobs=4 must reproduce the DAG rows too."""
-    assert _run_all_dag(jobs=4) == GOLDEN_DAG == serial_dag_digests
+    assert _run_all(_DAG_CONFIGS, jobs=4) == GOLDEN_DAG == serial_dag_digests
 
 
 if __name__ == "__main__":  # pragma: no cover - digest regeneration helper
-    digests = _run_all(jobs=1)
-    print("GOLDEN = {")
-    for name, digest in digests.items():
-        print(f"    {name!r}: {digest!r},")
-    print("}")
-    ntier_digests = _run_all_ntier(jobs=1)
-    print("GOLDEN_NTIER = {")
-    for name, digest in ntier_digests.items():
-        print(f"    {name!r}: {digest!r},")
-    print("}")
-    replica_digests = _run_all_replica(jobs=1)
-    print("GOLDEN_REPLICA = {")
-    for name, digest in replica_digests.items():
-        print(f"    {name!r}: {digest!r},")
-    print("}")
-    cohort_digests = _run_all_cohort(jobs=1)
-    print("GOLDEN_COHORT = {")
-    for name, digest in cohort_digests.items():
-        print(f"    {name!r}: {digest!r},")
-    print("}")
-    dag_digests = _run_all_dag(jobs=1)
-    print("GOLDEN_DAG = {")
-    for name, digest in dag_digests.items():
-        print(f"    {name!r}: {digest!r},")
-    print("}")
+    for name, configs in (
+        ("GOLDEN", _CONFIGS),
+        ("GOLDEN_NTIER", _NTIER_CONFIGS),
+        ("GOLDEN_REPLICA", _REPLICA_CONFIGS),
+        ("GOLDEN_COHORT", _COHORT_CONFIGS),
+        ("GOLDEN_DAG", _DAG_CONFIGS),
+    ):
+        print(f"{name} = {{")
+        for row, digest in _run_all(configs, jobs=1).items():
+            print(f"    {row!r}: {digest!r},")
+        print("}")

@@ -75,40 +75,34 @@ _NTIER_CONFIGS = {
 
 def _micro_digests(shards: int) -> dict:
     """Digest every micro row at ``shards``, asserting engagement."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setenv("REPRO_COHORT", "1")
-        patch.setenv("REPRO_SHARD", "1")
-        digests = {}
-        for name, config in _MICRO_CONFIGS.items():
-            result = run_micro(config, shards=shards)
-            if shards > 1:
-                assert len(result.shard_events) == 2, (
-                    f"{name}: expected 2 islands, the sharded kernel "
-                    "fell back to serial"
-                )
-            else:
-                assert not result.shard_events
-            digests[name] = _digest_result(result)
-        return digests
+    digests = {}
+    for name, config in _MICRO_CONFIGS.items():
+        result = run_micro(config, shards=shards)
+        if shards > 1:
+            assert len(result.shard_events) == 2, (
+                f"{name}: expected 2 islands, the sharded kernel "
+                "fell back to serial"
+            )
+        else:
+            assert not result.shard_events
+        digests[name] = _digest_result(result)
+    return digests
 
 
 def _ntier_digests(shards: int) -> dict:
     """Digest every n-tier row at ``shards``, asserting engagement."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setenv("REPRO_COHORT", "1")
-        patch.setenv("REPRO_SHARD", "1")
-        digests = {}
-        for name, config in _NTIER_CONFIGS.items():
-            result = run_ntier(config, shards=shards)
-            if shards > 1:
-                assert len(result.shard_events) == shards, (
-                    f"{name}: expected {shards} islands, got "
-                    f"{len(result.shard_events)}"
-                )
-            else:
-                assert not result.shard_events
-            digests[name] = _digest_result(result)
-        return digests
+    digests = {}
+    for name, config in _NTIER_CONFIGS.items():
+        result = run_ntier(config, shards=shards)
+        if shards > 1:
+            assert len(result.shard_events) == shards, (
+                f"{name}: expected {shards} islands, got "
+                f"{len(result.shard_events)}"
+            )
+        else:
+            assert not result.shard_events
+        digests[name] = _digest_result(result)
+    return digests
 
 
 @pytest.fixture(scope="module")
@@ -141,8 +135,6 @@ def _sweep_digests(jobs: int, shards: str | None) -> dict:
     against the direct-run fixtures above.
     """
     with pytest.MonkeyPatch.context() as patch:
-        patch.setenv("REPRO_COHORT", "1")
-        patch.setenv("REPRO_SHARD", "1")
         if shards is None:
             patch.delenv("REPRO_SHARDS", raising=False)
         else:

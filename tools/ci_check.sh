@@ -1,20 +1,32 @@
 #!/usr/bin/env bash
-# CI gate: run the test suite in two tiers and report each tier's wall clock.
+# CI gate: run the test suite in six tiers and report each tier's wall clock.
 #
-#   fast tier     everything except the real-socket and chaos tests, with
-#                 sweeps fanned out over all cores (REPRO_JOBS=auto) and the
-#                 on-disk result cache enabled -- a warm .repro-cache/ makes
-#                 this tier cheap.
+#   fast tier     everything except the real-socket, chaos and shard
+#                 tests, plus the cache, failover, DAG and million-client
+#                 artifact benchmarks, with sweeps fanned out over all
+#                 cores (REPRO_JOBS=auto) and the on-disk result cache
+#                 enabled -- a warm .repro-cache/ makes this tier cheap.
 #   chaos tier    the fault-injection sweeps plus the resilience-marked
 #                 tests (-m "chaos or resilience") and the metastable-
 #                 failure benchmark: slower end-to-end determinism and
 #                 recovery checks across worker processes.
+#   shard tier    the shard-marked tests (island partitioning rules,
+#                 conservative-sync primitives, the sharded golden rows
+#                 and the shard artifact benchmark) with REPRO_SHARDS=2
+#                 pinned, so every eligible simulation in the tier
+#                 actually exercises the forked-island kernel and must
+#                 still reproduce the serial digests bit-for-bit.
 #   realnet tier  the loopback-socket tests (-m realnet) on their own, so
 #                 timing-sensitive socket work is not interleaved with the
 #                 CPU-heavy simulation tier.
-#   perf-smoke    a reduced-scale run of the kernel perf suite — including
+#   tcpfast tier  the tcpfast-marked equivalence tests (including the
+#                 golden-digest matrix) re-run with REPRO_TCP_FASTPATH=0,
+#                 proving the per-segment TCP path still produces
+#                 bit-identical results so any digest mismatch can be
+#                 bisected to the flow-level fast path in one run.
+#   perf-smoke    a reduced-scale run of the kernel perf suite -- including
 #                 the tcp-spin benchmark (Table IV write-spin at 0/5 ms RTT
-#                 plus the flow-level drain pattern) — gated against the
+#                 plus the flow-level drain pattern) -- gated against the
 #                 committed BENCH_core.json: fails when any rate metric
 #                 (events/sec and friends) regresses more than 30% below
 #                 the tracked baseline, and fails hard when the baseline's
@@ -23,58 +35,11 @@
 #                 Wall times are not gated (they scale with --scale);
 #                 rates are scale-free.  Skipped when BENCH_core.json is
 #                 absent.
-#   cache tier    the cache-marked tests (cache-tier stores, single-flight
-#                 coalescing, golden cache digests, the stampede artifact
-#                 smoke) with the REPRO_CACHE kill switch pinned *on*, so
-#                 a developer shell that disabled the tier cannot silently
-#                 skip its coverage.
-#   tcpfast tier  the tcpfast-marked equivalence tests (including the
-#                 golden-digest matrix) re-run with REPRO_TCP_FASTPATH=0,
-#                 proving the per-segment TCP path still produces
-#                 bit-identical results so any digest mismatch can be
-#                 bisected to the flow-level fast path in one run.
-#   failover tier the failover-marked tests (replica groups, crash-
-#                 restart faults, hedging, the golden replica digests and
-#                 the failover artifact benchmark) with REPRO_REPLICA
-#                 pinned *on*, followed by a kill-switch equivalence run:
-#                 the golden-digest matrix re-executed under
-#                 REPRO_REPLICA=0 must reproduce every pre-replica digest
-#                 bit-for-bit (the replica layer is provably inert when
-#                 killed).
-#   dag tier      the dag-marked tests (DagConfig validation, fan-in
-#                 policies, gray-failure degrade windows, latency-aware
-#                 ejection, golden DAG digests and the DAG artifact
-#                 benchmark) with REPRO_DAG pinned *on*, followed by a
-#                 kill-switch equivalence run: the golden-digest matrix
-#                 under REPRO_DAG=0 must reproduce every pre-DAG digest
-#                 bit-for-bit (a DAG config collapses to the classic
-#                 linear chain when killed; the dag-marked rows are
-#                 deselected because they deliberately pin the live
-#                 layer's own digests).
-#   cohort tier   the cohort-marked tests (aggregate arrival engines,
-#                 lazy materialization, golden cohort digests, the
-#                 bounded-heap check and the million-client artifact
-#                 benchmark) with REPRO_COHORT pinned *on*, followed by a
-#                 kill-switch equivalence run: the golden-digest matrix
-#                 under REPRO_COHORT=0 must reproduce every pre-cohort
-#                 digest bit-for-bit (lazy cohorts demote to the classic
-#                 builder when killed; the cohort-marked rows are
-#                 deselected because they deliberately pin the lazy
-#                 engine's own digests).
-#   shard tier    the shard-marked tests (island partitioning rules,
-#                 conservative-sync primitives, the sharded golden rows
-#                 and the shard artifact benchmark) with REPRO_SHARDS=2
-#                 pinned, so every eligible simulation in the tier
-#                 actually exercises the forked-island kernel and must
-#                 still reproduce the serial digests bit-for-bit.
-#   shardkill     kill-switch equivalence: the full golden-digest
-#                 matrix re-executed under REPRO_SHARD=0 must reproduce
-#                 every digest bit-for-bit (with the feature killed the
-#                 sharded kernel is provably inert; the shard-marked
-#                 rows are deselected because they deliberately assert
-#                 that islands *did* run).
 #
-# Usage: tools/ci_check.sh [extra pytest args for both tiers]
+# A feature layer (cache, replicas, cohorts, DAGs) runs exactly when its
+# config is given, so no tier has to pin a layer on or kill it.
+#
+# Usage: tools/ci_check.sh [extra pytest args for every pytest tier]
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -92,74 +57,15 @@ run_tier() {
     echo "[ci_check] $name tier: ${elapsed}s"
 }
 
-echo "[ci_check] fast tier (REPRO_JOBS=$REPRO_JOBS, cache: ${REPRO_CACHE:-on})"
-run_tier fast -m "not realnet and not chaos and not cache and not failover and not cohort and not dag and not shard" "$@"
+echo "[ci_check] fast tier (REPRO_JOBS=$REPRO_JOBS, memo cache: ${REPRO_CACHE:-on})"
+run_tier fast -m "not realnet and not chaos and not shard" tests \
+    benchmarks/test_bench_cache.py benchmarks/test_bench_failover.py \
+    benchmarks/test_bench_dag.py benchmarks/test_bench_million.py "$@"
 
 echo "[ci_check] chaos tier"
 run_tier chaos -m "chaos or resilience" tests benchmarks/test_bench_metastable.py "$@"
 
-echo "[ci_check] cache tier (REPRO_CACHE=1 pinned)"
-# Same export/unset discipline as the tcpfast tier below; REPRO_CACHE
-# doubles as the sweep memo-cache switch, so restore the inherited value
-# rather than leaving our pin behind.
-_saved_repro_cache="${REPRO_CACHE-__unset__}"
-export REPRO_CACHE=1
-run_tier cache -m cache tests benchmarks/test_bench_cache.py "$@"
-if [[ "$_saved_repro_cache" == "__unset__" ]]; then
-    unset REPRO_CACHE
-else
-    export REPRO_CACHE="$_saved_repro_cache"
-fi
-
-echo "[ci_check] failover tier (REPRO_REPLICA=1 pinned)"
-_saved_repro_replica="${REPRO_REPLICA-__unset__}"
-export REPRO_REPLICA=1
-run_tier failover -m failover tests benchmarks/test_bench_failover.py "$@"
-echo "[ci_check] replica kill-switch equivalence (REPRO_REPLICA=0)"
-# The failover-marked digest rows are deselected: under the kill switch
-# the replica configs deliberately collapse to the classic topology, so
-# only the pre-replica digests are expected to reproduce.
-export REPRO_REPLICA=0
-run_tier replicakill -m "not failover" tests/test_kernel_determinism_golden.py "$@"
-if [[ "$_saved_repro_replica" == "__unset__" ]]; then
-    unset REPRO_REPLICA
-else
-    export REPRO_REPLICA="$_saved_repro_replica"
-fi
-
-echo "[ci_check] dag tier (REPRO_DAG=1 pinned)"
-_saved_repro_dag="${REPRO_DAG-__unset__}"
-export REPRO_DAG=1
-run_tier dag -m dag tests benchmarks/test_bench_dag.py "$@"
-echo "[ci_check] dag kill-switch equivalence (REPRO_DAG=0)"
-# The dag-marked digest rows are deselected: under the kill switch a DAG
-# config deliberately collapses to the classic linear chain, so only the
-# pre-DAG digests are expected to reproduce.
-export REPRO_DAG=0
-run_tier dagkill -m "not dag" tests/test_kernel_determinism_golden.py "$@"
-if [[ "$_saved_repro_dag" == "__unset__" ]]; then
-    unset REPRO_DAG
-else
-    export REPRO_DAG="$_saved_repro_dag"
-fi
-
-echo "[ci_check] cohort tier (REPRO_COHORT=1 pinned)"
-_saved_repro_cohort="${REPRO_COHORT-__unset__}"
-export REPRO_COHORT=1
-run_tier cohort -m cohort tests benchmarks/test_bench_million.py "$@"
-echo "[ci_check] cohort kill-switch equivalence (REPRO_COHORT=0)"
-export REPRO_COHORT=0
-run_tier cohortkill -m "not cohort" tests/test_kernel_determinism_golden.py "$@"
-if [[ "$_saved_repro_cohort" == "__unset__" ]]; then
-    unset REPRO_COHORT
-else
-    export REPRO_COHORT="$_saved_repro_cohort"
-fi
-
 echo "[ci_check] shard tier (REPRO_SHARDS=2 pinned)"
-# REPRO_SHARDS (the default island count) and REPRO_SHARD (the kill
-# switch) are separate knobs: the tier pins the former so eligible runs
-# shard by default, then the kill run below pins the latter to 0.
 _saved_repro_shards="${REPRO_SHARDS-__unset__}"
 export REPRO_SHARDS=2
 run_tier shard -m shard tests benchmarks/test_bench_shard.py "$@"
@@ -167,17 +73,6 @@ if [[ "$_saved_repro_shards" == "__unset__" ]]; then
     unset REPRO_SHARDS
 else
     export REPRO_SHARDS="$_saved_repro_shards"
-fi
-echo "[ci_check] shard kill-switch equivalence (REPRO_SHARD=0)"
-# The shard-marked rows are deselected: they assert that islands ran,
-# which the kill switch deliberately prevents.
-_saved_repro_shard="${REPRO_SHARD-__unset__}"
-export REPRO_SHARD=0
-run_tier shardkill -m "not shard" tests/test_kernel_determinism_golden.py "$@"
-if [[ "$_saved_repro_shard" == "__unset__" ]]; then
-    unset REPRO_SHARD
-else
-    export REPRO_SHARD="$_saved_repro_shard"
 fi
 
 echo "[ci_check] realnet tier"
@@ -203,4 +98,4 @@ else
     echo "[ci_check] perf-smoke tier skipped (no BENCH_core.json)"
 fi
 
-echo "[ci_check] done: fast ${fast_elapsed}s + chaos ${chaos_elapsed}s + cache ${cache_elapsed}s + failover ${failover_elapsed}s + replicakill ${replicakill_elapsed}s + dag ${dag_elapsed}s + dagkill ${dagkill_elapsed}s + cohort ${cohort_elapsed}s + cohortkill ${cohortkill_elapsed}s + shard ${shard_elapsed}s + shardkill ${shardkill_elapsed}s + realnet ${realnet_elapsed}s + tcpfast ${tcpfast_elapsed}s + perf ${perf_elapsed}s"
+echo "[ci_check] done: fast ${fast_elapsed}s + chaos ${chaos_elapsed}s + shard ${shard_elapsed}s + realnet ${realnet_elapsed}s + tcpfast ${tcpfast_elapsed}s + perf ${perf_elapsed}s"
