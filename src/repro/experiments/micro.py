@@ -249,6 +249,25 @@ def make_server(name: str, env: Environment, cpu: CPU, config: "MicroConfig") ->
     return factory(env, cpu, config)
 
 
+def server_counters(server: BaseServer) -> Dict[str, float]:
+    """A micro run's ``server_stats``: request, write and shedding
+    counters, plus the light/heavy path split of a HybridNetty."""
+    stats = {
+        "requests_completed": float(server.stats.requests_completed),
+        "responses_written": float(server.stats.responses_written),
+        "spin_jumpouts": float(server.stats.spin_jumpouts),
+        "reclassifications": float(server.stats.reclassifications),
+        "requests_rejected": float(server.stats.requests_rejected),
+        "requests_aborted": float(server.stats.requests_aborted),
+        "connections_refused": float(server.stats.connections_refused),
+    }
+    if isinstance(server, HybridServer):
+        stats["light_path_requests"] = float(server.light_path_requests)
+        stats["heavy_path_requests"] = float(server.heavy_path_requests)
+        stats["light_path_fallbacks"] = float(server.light_path_fallbacks)
+    return stats
+
+
 def run_micro(
     config: MicroConfig, streaming: bool = False, shards: Optional[int] = None
 ) -> MicroResult:
@@ -333,19 +352,6 @@ def run_micro(
     sim_start = time.perf_counter()
     env.run(until=config.duration)
     sim_wall = time.perf_counter() - sim_start
-    stats = {
-        "requests_completed": float(server.stats.requests_completed),
-        "responses_written": float(server.stats.responses_written),
-        "spin_jumpouts": float(server.stats.spin_jumpouts),
-        "reclassifications": float(server.stats.reclassifications),
-        "requests_rejected": float(server.stats.requests_rejected),
-        "requests_aborted": float(server.stats.requests_aborted),
-        "connections_refused": float(server.stats.connections_refused),
-    }
-    if isinstance(server, HybridServer):
-        stats["light_path_requests"] = float(server.light_path_requests)
-        stats["heavy_path_requests"] = float(server.heavy_path_requests)
-        stats["light_path_fallbacks"] = float(server.light_path_fallbacks)
     client_stats: Dict[str, float] = {}
     if (
         injector is not None
@@ -364,7 +370,7 @@ def run_micro(
     return MicroResult(
         config=config,
         report=recorder.report(),
-        server_stats=stats,
+        server_stats=server_counters(server),
         client_stats=client_stats,
         faults=injector.report() if injector is not None else None,
         resilience=resilience,

@@ -25,6 +25,8 @@ Cache keying
 A point's cache entry is keyed by the blake2b digest of:
 
 * the sweep coordinates: artifact id, runner name, measurement scale;
+* the shard count (``REPRO_SHARDS``): a sharded run's ``kernel_events``
+  counts every island's kernel, so it differs from the serial result;
 * the *full* point configuration (every ``MicroConfig``/``NTierConfig``
   field, including the request mix, the calibration constants and the
   derived seed);
@@ -49,6 +51,7 @@ from pathlib import Path
 from typing import Callable, Dict, Mapping, Optional, Tuple
 
 from repro.errors import ExperimentError
+from repro.shard import resolve_shards
 from repro.sim.rng import derive_seed
 
 __all__ = [
@@ -412,6 +415,7 @@ class SweepExecutor:
                 self.artifact,
                 runner,
                 self.scale,
+                resolve_shards(),
                 point_digest(config),
             )).encode("utf-8"),
             digest_size=16,

@@ -79,8 +79,9 @@ class NTierConfig:
     cache: Optional[CacheConfig] = None
     #: Workload mix (``None`` → the RUBBoS Markov navigation, as always).
     mix: Optional[RequestMix] = None
-    #: Replicated Tomcat tier behind Apache (``None`` → the classic
-    #: single-instance build).
+    #: Replicated Tomcat tier behind Apache: ``replicas`` slices named
+    #: ``tomcat0``, ``tomcat1``, ... behind a balancer (``None`` or
+    #: ``replicas=1`` → one unreplicated slice named ``tomcat``).
     replica: Optional[ReplicaConfig] = None
     #: Cohort aggregation of the user population (``None`` → classic
     #: per-client build).
@@ -130,15 +131,24 @@ class NTierConfig:
 
 
 class ThreeTierSystem:
-    """Apache + Tomcat + MySQL on three simulated machines."""
+    """Apache + Tomcat + MySQL on three simulated machines.
+
+    The chain build and the DAG build answer the run's queries — tier
+    CPUs and servers, pools, limiters, caches, crash targets — through
+    the same methods, so the runner and the shard islands read results
+    one way for every topology.
+    """
 
     def __init__(self, env: Environment, config: NTierConfig):
         config.validate()
         self.env = env
         self.config = config
-        #: Replica group for the Tomcat tier (``None`` in the classic
-        #: single-instance build — which is also what ``replicas=1``
-        #: produces).
+        #: Tomcat tier name → that slice's :class:`Replica` record, in
+        #: build order: ``tomcat`` unreplicated, ``tomcat0``,
+        #: ``tomcat1``, ... replicated, none under a DAG.
+        self.tomcats: Dict[str, Replica] = {}
+        #: Replica group for the Tomcat tier (``None`` unless
+        #: ``config.replica`` is active; ``replicas=1`` builds none).
         self.replica_group: Optional[ReplicaGroup] = None
         #: The balancing proxy application (replicated build only); the
         #: runner attaches the hedge policy here once the budget exists.
@@ -147,10 +157,8 @@ class ThreeTierSystem:
         self.dag_system = None
         if config.dag is not None:
             self._build_dag(env, config)
-        elif config.replica is not None and config.replica.active:
-            self._build_replicated(env, config)
         else:
-            self._build_single(env, config)
+            self._build_chain(env, config)
 
     def _build_dag(self, env: Environment, config: NTierConfig) -> None:
         """The service-dependency DAG build (PR 9).
@@ -174,109 +182,44 @@ class ThreeTierSystem:
         self.tomcat_db_pool = None
         self.cache_tier: Optional[CacheTier] = None
 
-    def _build_single(self, env: Environment, config: NTierConfig) -> None:
-        """The classic one-instance-per-tier build (the paper's testbed).
+    def _build_chain(self, env: Environment, config: NTierConfig) -> None:
+        """The Apache → Tomcat → MySQL chain (the paper's testbed).
 
-        This body is the historical constructor verbatim — statement
-        order included, since construction order assigns connection ids
-        and forks RNG streams — so every pre-replica golden digest is
-        preserved by definition.
+        The Tomcat tier is one vertical slice, or one per replica when
+        ``config.replica`` is active.  A slice has its own CPU
+        ("machine"), its own JDBC pool to the shared MySQL, its own cache
+        tier and its own Apache-side pool, each pool with its own
+        breaker.  The classic attribute names (``app_cpu``,
+        ``app_server``, ...) alias slice 0 so tier-generic plumbing —
+        stall injection, CPU watching — keeps a well-defined target.
+
+        Statement order is load-bearing: a :class:`CPU` schedules its
+        cores' first dispatch when constructed, and construction order
+        assigns connection ids.  So the unreplicated Tomcat CPU is built
+        between the MySQL and Apache CPUs, and a replica's CPU with the
+        rest of its slice; moving either changes every result.
         """
         calib = config.calibration
+        replicated = config.replica is not None and config.replica.active
+        names = (
+            [f"tomcat{i}" for i in range(config.replica.replicas)]
+            if replicated
+            else ["tomcat"]
+        )
 
-        # One CPU ("machine") per tier.
         self.db_cpu = CPU(env, calib, name="mysql-cpu")
-        self.app_cpu = CPU(env, calib, name="tomcat-cpu")
+        if not replicated:
+            tomcat_cpu = CPU(env, calib, name="tomcat-cpu")
         self.web_cpu = CPU(env, calib, name="apache-cpu")
 
         tier_link = Link.lan(calib, added_latency=config.inter_tier_latency)
         policy = config.resilience
         breaker_cfg = policy.breaker if policy is not None else None
 
-        # MySQL tier: thread-based (one thread per pooled connection).
-        self.db_server = ThreadedServer(
-            env, self.db_cpu, app=QueryApplication(), name="mysql"
-        )
-
-        # Tomcat tier: the upgrade under study.
-        self.tomcat_db_pool = None  # created after db server exists
-        self.tomcat_db_pool = ConnectionPool(
-            env,
-            self.db_server,
-            config.tomcat_db_pool,
-            tier_link,
-            calib,
-            breaker=CircuitBreaker(env, breaker_cfg, name="tomcat-mysql")
-            if breaker_cfg is not None
-            else None,
-        )
-        #: Cache tier between Tomcat and MySQL.  Only instantiated when
-        #: configured — otherwise no object, no RNG fork, no event.
-        self.cache_tier: Optional[CacheTier] = None
-        if config.cache is not None:
-            self.cache_tier = CacheTier(
-                env,
-                config.cache,
-                SeedStreams(config.seed).fork("cache").stream("keys"),
-                calib,
-            )
-        servlet_app = ServletApplication(self.tomcat_db_pool, cache=self.cache_tier)
-        if config.tomcat_variant == "sync":
-            self.app_server: BaseServer = TomcatSyncServer(
-                env, self.app_cpu, app=servlet_app, name="tomcat-v7"
-            )
-        else:
-            self.app_server = TomcatAsyncServer(
-                env,
-                self.app_cpu,
-                app=servlet_app,
-                name="tomcat-v8",
-                workers=config.tomcat_workers,
-            )
-        if policy is not None and policy.admission is not None:
-            # The Tomcat tier is the chain's bottleneck; the AIMD limiter
-            # discovers how much concurrency it can serve within target
-            # latency and sheds the excess cheaply.
-            self.app_server.limits = ServerLimits(adaptive=policy.admission)
-
-        # Apache tier: thread-based reverse proxy.
-        self.apache_tomcat_pool = ConnectionPool(
-            env,
-            self.app_server,
-            config.apache_tomcat_pool,
-            tier_link,
-            calib,
-            breaker=CircuitBreaker(env, breaker_cfg, name="apache-tomcat")
-            if breaker_cfg is not None
-            else None,
-        )
-        self.web_server = ThreadedServer(
-            env,
-            self.web_cpu,
-            app=ProxyApplication(self.apache_tomcat_pool),
-            name="apache",
-        )
-
-    def _build_replicated(self, env: Environment, config: NTierConfig) -> None:
-        """N Tomcat instances behind a balancing Apache.
-
-        Each replica is a full vertical slice: its own CPU ("machine"),
-        its own JDBC pool to the shared MySQL (with its own breaker), its
-        own private cache tier (seeded from a per-replica RNG stream),
-        and its own Apache-side connection pool + breaker.  The classic
-        attribute names (``app_cpu``, ``app_server``, ...) alias replica
-        0 so tier-generic plumbing — stall injection, CPU watching —
-        keeps a well-defined target.
-        """
-        calib = config.calibration
-        rconf = config.replica
-
-        self.db_cpu = CPU(env, calib, name="mysql-cpu")
-        self.web_cpu = CPU(env, calib, name="apache-cpu")
-
-        tier_link = Link.lan(calib, added_latency=config.inter_tier_latency)
-        policy = config.resilience
-        breaker_cfg = policy.breaker if policy is not None else None
+        def breaker(name: str) -> Optional[CircuitBreaker]:
+            if breaker_cfg is None:
+                return None
+            return CircuitBreaker(env, breaker_cfg, name=name)
 
         # MySQL stays a single shared instance: the paper's bottleneck
         # analysis needs the database fixed while the mid tier scales.
@@ -284,69 +227,46 @@ class ThreeTierSystem:
             env, self.db_cpu, app=QueryApplication(), name="mysql"
         )
 
-        cache_seeds = (
-            SeedStreams(config.seed).fork("cache")
-            if config.cache is not None
-            else None
-        )
-        suffix = "v7" if config.tomcat_variant == "sync" else "v8"
-        replicas = []
-        for i in range(rconf.replicas):
-            cpu = CPU(env, calib, name=f"tomcat{i}-cpu")
+        for i, name in enumerate(names):
+            cpu = CPU(env, calib, name=f"{name}-cpu") if replicated else tomcat_cpu
             db_pool = ConnectionPool(
                 env,
                 self.db_server,
                 config.tomcat_db_pool,
                 tier_link,
                 calib,
-                breaker=CircuitBreaker(env, breaker_cfg, name=f"tomcat{i}-mysql")
-                if breaker_cfg is not None
-                else None,
+                breaker=breaker(f"{name}-mysql"),
             )
-            cache = (
-                CacheTier(env, config.cache, cache_seeds.stream("keys", i), calib)
-                if config.cache is not None
-                else None
+            server, cache = build_tomcat(
+                env, config, name, cpu, db_pool, ("keys", i) if replicated else ("keys",)
             )
-            servlet_app = ServletApplication(db_pool, cache=cache)
-            if config.tomcat_variant == "sync":
-                server: BaseServer = TomcatSyncServer(
-                    env, cpu, app=servlet_app, name=f"tomcat{i}-{suffix}"
-                )
-            else:
-                server = TomcatAsyncServer(
-                    env,
-                    cpu,
-                    app=servlet_app,
-                    name=f"tomcat{i}-{suffix}",
-                    workers=config.tomcat_workers,
-                )
-            if policy is not None and policy.admission is not None:
-                server.limits = ServerLimits(adaptive=policy.admission)
-            front_pool = ConnectionPool(
+            pool = ConnectionPool(
                 env,
                 server,
                 config.apache_tomcat_pool,
                 tier_link,
                 calib,
-                breaker=CircuitBreaker(env, breaker_cfg, name=f"apache-tomcat{i}")
-                if breaker_cfg is not None
-                else None,
+                breaker=breaker(f"apache-{name}"),
             )
-            replicas.append(Replica(i, server, cpu, front_pool, db_pool, cache))
+            self.tomcats[name] = Replica(i, server, cpu, pool, db_pool, cache)
 
-        self.replica_group = ReplicaGroup(env, rconf, replicas)
-        self.balanced_app = BalancedProxyApplication(self.replica_group)
+        slices = list(self.tomcats.values())
+        if replicated:
+            self.replica_group = ReplicaGroup(env, config.replica, slices)
+            self.balanced_app = BalancedProxyApplication(self.replica_group)
+            front_app = self.balanced_app
+        else:
+            front_app = ProxyApplication(slices[0].pool)
+        # Apache tier: thread-based reverse proxy.
         self.web_server = ThreadedServer(
-            env, self.web_cpu, app=self.balanced_app, name="apache"
+            env, self.web_cpu, app=front_app, name="apache"
         )
 
-        # Replica-0 aliases for tier-generic plumbing.
-        self.app_cpu = replicas[0].cpu
-        self.app_server = replicas[0].server
-        self.apache_tomcat_pool = replicas[0].pool
-        self.tomcat_db_pool = replicas[0].db_pool
-        self.cache_tier = replicas[0].cache
+        self.app_cpu = slices[0].cpu
+        self.app_server = slices[0].server
+        self.apache_tomcat_pool = slices[0].pool
+        self.tomcat_db_pool = slices[0].db_pool
+        self.cache_tier = slices[0].cache
 
     @property
     def front_server(self) -> BaseServer:
@@ -357,23 +277,46 @@ class ThreeTierSystem:
         """Tier name → CPU, for per-tier utilisation reports."""
         if self.dag_system is not None:
             return self.dag_system.cpu_by_tier()
-        if self.replica_group is not None:
-            cpus = {"apache": self.web_cpu}
-            for replica in self.replica_group.replicas:
-                cpus[f"tomcat{replica.index}"] = replica.cpu
-            cpus["mysql"] = self.db_cpu
-            return cpus
-        return {"apache": self.web_cpu, "tomcat": self.app_cpu, "mysql": self.db_cpu}
+        cpus = {"apache": self.web_cpu}
+        cpus.update((name, tomcat.cpu) for name, tomcat in self.tomcats.items())
+        cpus["mysql"] = self.db_cpu
+        return cpus
+
+    def server_tiers(self) -> "list":
+        """``(tier name, [instance servers])`` for per-tier counters."""
+        if self.dag_system is not None:
+            return self.dag_system.servers_by_node()
+        return [
+            ("apache", [self.web_server]),
+            ("tomcat", [tomcat.server for tomcat in self.tomcats.values()]),
+            ("mysql", [self.db_server]),
+        ]
+
+    def pools(self) -> "list":
+        """Every inter-tier connection pool (per Tomcat slice: the pool
+        into it, then its pool to MySQL)."""
+        if self.dag_system is not None:
+            return self.dag_system.pools()
+        return [p for t in self.tomcats.values() for p in (t.pool, t.db_pool)]
+
+    def limiters(self) -> "list":
+        """Admission limiters in the system (servers without one skipped)."""
+        if self.dag_system is not None:
+            limiters = self.dag_system.limiters()
+        else:
+            limiters = [tomcat.server.limiter for tomcat in self.tomcats.values()]
+        return [limiter for limiter in limiters if limiter is not None]
+
+    def peak_concurrency(self) -> int:
+        """Summed peak use of the pools into the mid tier (of every edge
+        pool under a DAG)."""
+        if self.dag_system is not None:
+            return sum(pool.peak_in_use for pool in self.dag_system.pools())
+        return sum(tomcat.pool.peak_in_use for tomcat in self.tomcats.values())
 
     def cache_tiers(self) -> "list":
         """Every cache-tier instance in the system (possibly empty)."""
-        if self.dag_system is not None:
-            return []
-        if self.replica_group is not None:
-            return [
-                r.cache for r in self.replica_group.replicas if r.cache is not None
-            ]
-        return [] if self.cache_tier is None else [self.cache_tier]
+        return [t.cache for t in self.tomcats.values() if t.cache is not None]
 
     def crash_targets(self) -> "list":
         """Instances a :class:`~repro.faults.plan.CrashWindow` (or
@@ -381,27 +324,116 @@ class ThreeTierSystem:
 
         Under a DAG these are every node instance, flattened per node in
         declaration order (see
-        :meth:`repro.dag.build.DagSystem.fault_targets`).  With a
-        replica group they are the group's members; the classic
-        single-instance topology exposes its one Tomcat wrapped in a
-        :class:`~repro.replica.group.Replica` so crash–restart semantics
-        are identical either way.  Only called when crash/degrade
-        windows exist, so the wrappers cost nothing on clean runs.
+        :meth:`repro.dag.build.DagSystem.fault_targets`); in the chain
+        they are the Tomcat slices, so crash–restart semantics are the
+        same for one Tomcat and for a replica group.
         """
         if self.dag_system is not None:
             return self.dag_system.fault_targets()
+        return list(self.tomcats.values())
+
+    def dag_counters(self) -> Dict[str, float]:
+        """The DAG's counters (empty for the chain)."""
+        if self.dag_system is None:
+            return {}
+        return self.dag_system.counters()
+
+    def start_probes(self) -> None:
+        """Start active health probing of every replica group."""
         if self.replica_group is not None:
-            return self.replica_group.replicas
-        return [
-            Replica(
-                0,
-                self.app_server,
-                self.app_cpu,
-                self.apache_tomcat_pool,
-                self.tomcat_db_pool,
-                self.cache_tier,
+            self.replica_group.start_probes()
+        if self.dag_system is not None:
+            self.dag_system.start_probes()
+
+
+def build_tomcat(
+    env: Environment,
+    config: NTierConfig,
+    name: str,
+    cpu: CPU,
+    db_pool: ConnectionPool,
+    cache_key: "tuple",
+) -> "tuple":
+    """One Tomcat server called ``name`` over ``db_pool``, plus its cache.
+
+    Returns ``(server, cache tier or None)``.  The cache draws keys from
+    the run's ``cache`` seed stream ``cache_key``, and exists only when
+    the run configures one — otherwise no object, no RNG stream, no
+    event.  Shared by the chain builder and the shard Tomcat island.
+    """
+    cache = None
+    if config.cache is not None:
+        seeds = SeedStreams(config.seed).fork("cache")
+        cache = CacheTier(
+            env, config.cache, seeds.stream(*cache_key), config.calibration
+        )
+    app = ServletApplication(db_pool, cache=cache)
+    if config.tomcat_variant == "sync":
+        server: BaseServer = TomcatSyncServer(env, cpu, app=app, name=f"{name}-v7")
+    else:
+        server = TomcatAsyncServer(
+            env, cpu, app=app, name=f"{name}-v8", workers=config.tomcat_workers
+        )
+    policy = config.resilience
+    if policy is not None and policy.admission is not None:
+        # The Tomcat tier is the chain's bottleneck; the AIMD limiter
+        # discovers how much concurrency it can serve within target
+        # latency and sheds the excess cheaply.
+        server.limits = ServerLimits(adaptive=policy.admission)
+    return server, cache
+
+
+class TierUsage:
+    """Per-tier CPU utilisation and context-switch rate after warm-up.
+
+    Snapshots every tier CPU when constructed and again at the warm-up
+    boundary (a ``warmup-marker`` process), then measures from there.
+    :func:`run_ntier` and the shard islands watch their tiers this way.
+    """
+
+    def __init__(self, env: Environment, cpus: Dict[str, CPU], warmup: float):
+        self.cpus = cpus
+        self.starts = {name: cpu.snapshot() for name, cpu in cpus.items()}
+        env.process(self._mark_warmup(env, warmup), name="warmup-marker")
+
+    def _mark_warmup(self, env: Environment, warmup: float):
+        yield env.timeout(warmup)
+        for name, cpu in self.cpus.items():
+            self.starts[name] = cpu.snapshot()
+
+    def measure(self) -> "tuple":
+        """``(utilization, switch rate)``: tier name → value, up to now."""
+        utilization: Dict[str, float] = {}
+        switch_rate: Dict[str, float] = {}
+        for name, cpu in self.cpus.items():
+            usage = cpu.snapshot().usage_since(self.starts[name], cpu.cores)
+            utilization[name] = usage.utilization
+            switch_rate[name] = usage.context_switch_rate
+        return utilization, switch_rate
+
+
+def tier_server_stats(tiers) -> Dict[str, float]:
+    """Shed/expired/aborted requests per tier, summed over its servers.
+
+    ``tiers`` is a sequence of ``(tier name, [servers])``, as
+    :meth:`ThreeTierSystem.server_tiers` returns.
+    """
+    stats: Dict[str, float] = {}
+    for tier, servers in tiers:
+        for outcome in ("rejected", "expired", "aborted"):
+            stats[f"{tier}_{outcome}"] = float(
+                sum(getattr(s.stats, f"requests_{outcome}") for s in servers)
             )
-        ]
+    return stats
+
+
+def summed_counters(sources) -> Dict[str, float]:
+    """Key-wise sum of ``counters()`` over ``sources``."""
+    totals: Dict[str, float] = {}
+    for source in sources:
+        for key, value in source.counters().items():
+            totals[key] = totals.get(key, 0.0) + value
+    return totals
 
 
 @dataclass(frozen=True)
@@ -508,8 +540,7 @@ def run_ntier(config: NTierConfig, shards: Optional[int] = None) -> NTierResult:
         # slowdown that triggers the metastable-failure scenario.
         injector.start_stalls(system.app_cpu)
         if config.fault_plan.crash_windows:
-            # Crash windows kill Tomcat instances (replica members, or
-            # the single classic instance wrapped as one).
+            # Crash windows kill Tomcat instances (any slice of the chain).
             injector.start_crashes(system.crash_targets())
         if config.fault_plan.degrade_windows:
             # Gray-failure windows target the same instance index space.
@@ -533,10 +564,7 @@ def run_ntier(config: NTierConfig, shards: Optional[int] = None) -> NTierResult:
         # combined amplification stays inside one budget.
         hedge_policy = HedgePolicy(policy.hedge, budget)
         system.balanced_app.hedge = hedge_policy
-    if system.replica_group is not None:
-        system.replica_group.start_probes()
-    if system.dag_system is not None:
-        system.dag_system.start_probes()
+    system.start_probes()
 
     mix = config.mix if config.mix is not None else RubbosMix()
     if config.cache is not None and config.cache.prewarm:
@@ -562,26 +590,12 @@ def run_ntier(config: NTierConfig, shards: Optional[int] = None) -> NTierResult:
         cohort=config.cohort,
     )
 
-    starts = {name: cpu.snapshot() for name, cpu in system.cpu_by_tier().items()}
-
-    def _mark_warmup():
-        yield env.timeout(config.warmup)
-        for name, cpu in system.cpu_by_tier().items():
-            starts[name] = cpu.snapshot()
-
-    env.process(_mark_warmup(), name="warmup-marker")
+    tiers = TierUsage(env, system.cpu_by_tier(), config.warmup)
     sim_start = time.perf_counter()
     env.run(until=config.duration)
     sim_wall = time.perf_counter() - sim_start
+    utilization, switch_rate = tiers.measure()
 
-    utilization: Dict[str, float] = {}
-    switch_rate: Dict[str, float] = {}
-    for name, cpu in system.cpu_by_tier().items():
-        usage = cpu.snapshot().usage_since(starts[name], cpu.cores)
-        utilization[name] = usage.utilization
-        switch_rate[name] = usage.context_switch_rate
-
-    group = system.replica_group
     client_stats: Dict[str, float] = {}
     server_stats: Dict[str, float] = {}
     if (
@@ -591,88 +605,37 @@ def run_ntier(config: NTierConfig, shards: Optional[int] = None) -> NTierResult:
         or lazy_cohort
     ):
         client_stats = population.client_stat_totals()
-        if system.dag_system is not None:
-            tiers = tuple(system.dag_system.servers_by_node())
-        else:
-            tomcat_servers = (
-                [r.server for r in group.replicas]
-                if group is not None
-                else [system.app_server]
-            )
-            tiers = (
-                ("apache", [system.web_server]),
-                ("tomcat", tomcat_servers),
-                ("mysql", [system.db_server]),
-            )
-        for tier_name, tier_servers in tiers:
-            server_stats[f"{tier_name}_rejected"] = float(
-                sum(s.stats.requests_rejected for s in tier_servers)
-            )
-            server_stats[f"{tier_name}_expired"] = float(
-                sum(s.stats.requests_expired for s in tier_servers)
-            )
-            server_stats[f"{tier_name}_aborted"] = float(
-                sum(s.stats.requests_aborted for s in tier_servers)
-            )
+        server_stats = tier_server_stats(system.server_tiers())
     resilience: Dict[str, float] = {}
     if policy is not None:
         if budget is not None:
             resilience.update(budget.counters())
-        if system.dag_system is not None:
-            pools = system.dag_system.pools()
-            limiters = system.dag_system.limiters()
-        elif group is None:
-            pools = [system.apache_tomcat_pool, system.tomcat_db_pool]
-            limiters = [system.app_server.limiter]
-        else:
-            pools = [p for r in group.replicas for p in (r.pool, r.db_pool)]
-            limiters = [r.server.limiter for r in group.replicas]
+        pools = system.pools()
         for pool in pools:
             if pool.breaker is not None:
                 resilience.update(pool.breaker.counters())
-        limiter_totals: Dict[str, float] = {}
-        for limiter in limiters:
-            if limiter is not None:
-                for key, value in limiter.counters().items():
-                    limiter_totals[key] = limiter_totals.get(key, 0.0) + value
-        resilience.update(limiter_totals)
+        resilience.update(summed_counters(system.limiters()))
         resilience["pool_evictions"] = float(sum(p.evictions for p in pools))
-    cache_stats: Dict[str, float] = {}
-    cache_totals: Dict[str, float] = {}
-    for tier in system.cache_tiers():
-        for key, value in tier.counters().items():
-            cache_totals[key] = cache_totals.get(key, 0.0) + value
-    if cache_totals or system.cache_tier is not None:
-        cache_stats = cache_totals
     replica_stats: Dict[str, float] = {}
-    if group is not None:
-        replica_stats = group.counters()
+    if system.replica_group is not None:
+        replica_stats = system.replica_group.counters()
         if hedge_policy is not None:
             replica_stats.update(hedge_policy.counters())
-    dag_stats: Dict[str, float] = {}
-    if system.dag_system is not None:
-        dag_stats = system.dag_system.counters()
 
     return NTierResult(
         config=config,
         report=recorder.report(),
         tier_utilization=utilization,
         tier_switch_rate=switch_rate,
-        tomcat_peak_concurrency=(
-            sum(p.peak_in_use for p in system.dag_system.pools())
-            if system.dag_system is not None
-            else sum(r.pool.peak_in_use for r in group.replicas)
-            if group is not None
-            else system.apache_tomcat_pool.peak_in_use
-        ),
+        tomcat_peak_concurrency=system.peak_concurrency(),
         kernel_events=env.events_processed,
         client_stats=client_stats,
         server_stats=server_stats,
         resilience=resilience,
-        cache_stats=cache_stats,
+        cache_stats=summed_counters(system.cache_tiers()),
         replica_stats=replica_stats,
         cohort_stats=population.cohort_stats(),
-        dag_stats=dag_stats,
+        dag_stats=system.dag_counters(),
         faults=injector.report() if injector is not None else None,
         goodput_timeline=recorder.timeline(),
         sim_wall_s=sim_wall,

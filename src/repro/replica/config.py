@@ -3,9 +3,9 @@
 Follows the contract every optional layer in this repo obeys
 (:mod:`repro.cache.config` is the template): a frozen value object that
 hashes into sweep cache keys and golden-digest configs, and an
-``active`` property that decides whether the replicated build path runs
-at all.  No config and ``replicas=1`` both build the classic
-single-instance topology.
+``active`` property that decides whether the Tomcat tier is built as a
+replica group at all.  No config and ``replicas=1`` both build the
+unreplicated chain: one Tomcat slice, no group, no prober.
 """
 
 from __future__ import annotations
@@ -25,8 +25,9 @@ POLICIES = ("round_robin", "least_outstanding")
 class ReplicaConfig:
     """How the Tomcat tier is replicated and how Apache routes to it."""
 
-    #: Number of Tomcat instances behind Apache.  ``1`` is defined to be
-    #: bit-identical to the classic single-instance build.
+    #: Number of Tomcat instances behind Apache.  ``1`` builds the
+    #: unreplicated chain (one ``tomcat`` slice, no group), exactly as
+    #: when no replica config is given.
     replicas: int = 1
     #: ``"round_robin"`` or ``"least_outstanding"``.
     policy: str = "round_robin"
@@ -104,11 +105,12 @@ class ReplicaConfig:
 
     @property
     def active(self) -> bool:
-        """True when the replicated build path should actually run.
+        """True when the Tomcat tier is built as a replica group.
 
-        A single replica is *defined* as the classic topology, so the
-        replicated assembly (and every extra object it creates) only
-        exists for ``replicas > 1`` — that is what makes ``replicas=1``
-        trivially bit-identical rather than accidentally so.
+        A single replica is *defined* as the unreplicated chain, so the
+        group, its balancer and its prober (and the ``tomcat{i}``
+        naming) only exist for ``replicas > 1`` — that is what makes
+        ``replicas=1`` trivially bit-identical rather than accidentally
+        so.
         """
         return self.replicas > 1

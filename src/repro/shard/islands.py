@@ -63,47 +63,6 @@ class _CpuWatch:
         return None
 
 
-def _watch_tiers(env, cpus: Dict[str, "CPU"], warmup: float):
-    """Mirror of ``run_ntier``'s ``starts`` dict + ``_mark_warmup``
-    process, restricted to this island's tiers."""
-    starts = {name: cpu.snapshot() for name, cpu in cpus.items()}
-
-    def _mark_warmup():
-        yield env.timeout(warmup)
-        for name, cpu in cpus.items():
-            starts[name] = cpu.snapshot()
-
-    env.process(_mark_warmup(), name="warmup-marker")
-    return starts
-
-
-def _tier_usage(cpus: Dict[str, "CPU"], starts) -> tuple:
-    """Serial utilization/switch-rate expressions for local tiers."""
-    utilization: Dict[str, float] = {}
-    switch_rate: Dict[str, float] = {}
-    for name, cpu in cpus.items():
-        usage = cpu.snapshot().usage_since(starts[name], cpu.cores)
-        utilization[name] = usage.utilization
-        switch_rate[name] = usage.context_switch_rate
-    return utilization, switch_rate
-
-
-def _tier_server_stats(tiers) -> Dict[str, float]:
-    """Serial per-tier shed/expired/aborted counters."""
-    server_stats: Dict[str, float] = {}
-    for tier_name, tier_servers in tiers:
-        server_stats[f"{tier_name}_rejected"] = float(
-            sum(s.stats.requests_rejected for s in tier_servers)
-        )
-        server_stats[f"{tier_name}_expired"] = float(
-            sum(s.stats.requests_expired for s in tier_servers)
-        )
-        server_stats[f"{tier_name}_aborted"] = float(
-            sum(s.stats.requests_aborted for s in tier_servers)
-        )
-    return server_stats
-
-
 # ----------------------------------------------------------------------
 # Micro: [clients | server]
 # ----------------------------------------------------------------------
@@ -172,8 +131,7 @@ def build_micro_client(config, streaming: bool):
 
 def build_micro_server(config):
     """Server island: the CPU + server half of a micro run."""
-    from repro.core.hybrid import HybridServer
-    from repro.experiments.micro import make_server
+    from repro.experiments.micro import make_server, server_counters
     from repro.sim.core import Environment
 
     calib = config.calibration
@@ -195,20 +153,7 @@ def build_micro_server(config):
         island.attach_edges(0, min(cohort.max_inflight, config.concurrency))
 
     def finish():
-        stats = {
-            "requests_completed": float(server.stats.requests_completed),
-            "responses_written": float(server.stats.responses_written),
-            "spin_jumpouts": float(server.stats.spin_jumpouts),
-            "reclassifications": float(server.stats.reclassifications),
-            "requests_rejected": float(server.stats.requests_rejected),
-            "requests_aborted": float(server.stats.requests_aborted),
-            "connections_refused": float(server.stats.connections_refused),
-        }
-        if isinstance(server, HybridServer):
-            stats["light_path_requests"] = float(server.light_path_requests)
-            stats["heavy_path_requests"] = float(server.heavy_path_requests)
-            stats["light_path_fallbacks"] = float(server.light_path_fallbacks)
-        return {"server_stats": stats, "report_cpu": watch.usage()}
+        return {"server_stats": server_counters(server), "report_cpu": watch.usage()}
 
     return island, finish
 
@@ -220,6 +165,30 @@ def build_micro_server(config):
 
 def _ntier_lazy_cohort(config) -> bool:
     return config.cohort is not None and config.cohort.lazy_active()
+
+
+def _tier_fragments(env, config, cpus, server_tiers):
+    """Watch this island's tiers as ``run_ntier`` does; returns the
+    finish-time fragment maker.
+
+    Per-tier server counters are reported only for a lazy cohort: the
+    partitioner sends no run with faults, retries or resilience here,
+    and those are the serial runner's other reasons to report them.
+    """
+    from repro.ntier.topology import TierUsage, tier_server_stats
+
+    usage = TierUsage(env, cpus, config.warmup)
+    lazy_cohort = _ntier_lazy_cohort(config)
+
+    def fragments() -> Dict[str, object]:
+        utilization, switch_rate = usage.measure()
+        return {
+            "tier_utilization": utilization,
+            "tier_switch_rate": switch_rate,
+            "server_stats": tier_server_stats(server_tiers) if lazy_cohort else {},
+        }
+
+    return fragments
 
 
 def build_ntier_client(config):
@@ -288,7 +257,7 @@ def _serve_client_cut(island, config, front_server, calib) -> None:
 
 def build_ntier_backend(config):
     """2-way partition: the whole server side, built verbatim."""
-    from repro.ntier.topology import ThreeTierSystem
+    from repro.ntier.topology import ThreeTierSystem, summed_counters
     from repro.sim.core import Environment
     from repro.workload.rubbos import RubbosMix
 
@@ -299,49 +268,22 @@ def build_ntier_backend(config):
     # serial: recorder.watch_cpu(system.app_cpu)
     watch = _CpuWatch(env, system.app_cpu, config.warmup)
     # serial: probe starters (replica excluded by the partitioner).
-    if system.dag_system is not None:
-        system.dag_system.start_probes()
+    system.start_probes()
     mix = config.mix if config.mix is not None else RubbosMix()
     if config.cache is not None and config.cache.prewarm:
         for tier in system.cache_tiers():
             tier.prewarm_from_mix(mix)
     _serve_client_cut(island, config, system.front_server, calib)
-    cpus = system.cpu_by_tier()
-    starts = _watch_tiers(env, cpus, config.warmup)
-    lazy_cohort = _ntier_lazy_cohort(config)
+    tier_fragments = _tier_fragments(
+        env, config, system.cpu_by_tier(), system.server_tiers()
+    )
 
     def finish():
-        utilization, switch_rate = _tier_usage(cpus, starts)
-        server_stats: Dict[str, float] = {}
-        if lazy_cohort:
-            if system.dag_system is not None:
-                tiers = tuple(system.dag_system.servers_by_node())
-            else:
-                tiers = (
-                    ("apache", [system.web_server]),
-                    ("tomcat", [system.app_server]),
-                    ("mysql", [system.db_server]),
-                )
-            server_stats = _tier_server_stats(tiers)
-        cache_totals: Dict[str, float] = {}
-        for tier in system.cache_tiers():
-            for key, value in tier.counters().items():
-                cache_totals[key] = cache_totals.get(key, 0.0) + value
-        dag_stats: Dict[str, float] = {}
-        tomcat_peak = 0
-        if system.dag_system is not None:
-            dag_stats = system.dag_system.counters()
-            tomcat_peak = sum(p.peak_in_use for p in system.dag_system.pools())
-        else:
-            tomcat_peak = system.apache_tomcat_pool.peak_in_use
         return {
-            "tier_utilization": utilization,
-            "tier_switch_rate": switch_rate,
-            "server_stats": server_stats,
-            "cache_totals": cache_totals,
-            "cache_present": system.cache_tier is not None,
-            "dag_stats": dag_stats,
-            "tomcat_peak": tomcat_peak,
+            **tier_fragments(),
+            "cache_stats": summed_counters(system.cache_tiers()),
+            "dag_stats": system.dag_counters(),
+            "tomcat_peak": system.peak_concurrency(),
             "report_cpu": watch.usage(),
         }
 
@@ -358,9 +300,9 @@ def build_ntier_apache(config, index: int):
     calib = config.calibration
     env = Environment()
     island = Island(env, index, "apache")
-    # serial (_build_single): web_cpu / tier_link / apache_tomcat_pool /
-    # web_server — the db and tomcat statements in between build no
-    # apache-island object.
+    # serial (ThreeTierSystem._build_chain, one slice): web_cpu /
+    # tier_link / the slice's Apache-side pool / web_server — the db and
+    # tomcat statements in between build no apache-island object.
     web_cpu = CPU(env, calib, name="apache-cpu")
     tier_link = Link.lan(calib, added_latency=config.inter_tier_latency)
     apache_tomcat_pool = ConnectionPool(
@@ -375,40 +317,30 @@ def build_ntier_apache(config, index: int):
         env, web_cpu, app=ProxyApplication(apache_tomcat_pool), name="apache"
     )
     _serve_client_cut(island, config, web_server, calib)
-    cpus = {"apache": web_cpu}
-    starts = _watch_tiers(env, cpus, config.warmup)
-    lazy_cohort = _ntier_lazy_cohort(config)
+    tier_fragments = _tier_fragments(
+        env, config, {"apache": web_cpu}, [("apache", [web_server])]
+    )
 
     def finish():
-        utilization, switch_rate = _tier_usage(cpus, starts)
-        server_stats: Dict[str, float] = {}
-        if lazy_cohort:
-            server_stats = _tier_server_stats((("apache", [web_server]),))
-        return {
-            "tier_utilization": utilization,
-            "tier_switch_rate": switch_rate,
-            "server_stats": server_stats,
-            "tomcat_peak": apache_tomcat_pool.peak_in_use,
-        }
+        return {**tier_fragments(), "tomcat_peak": apache_tomcat_pool.peak_in_use}
 
     return island, finish
 
 
 def build_ntier_tomcat(config, index: int, include_db: bool):
     """Tomcat island (optionally bundling mysql when *include_db*)."""
-    from repro.cache import CacheTier
-    from repro.ntier.applications import QueryApplication, ServletApplication
+    from repro.ntier.applications import QueryApplication
     from repro.ntier.pool import ConnectionPool
+    from repro.ntier.topology import build_tomcat
     from repro.servers.threaded import ThreadedServer
-    from repro.servers.tomcat import TomcatAsyncServer, TomcatSyncServer
     from repro.sim.core import Environment
-    from repro.sim.rng import SeedStreams
     from repro.workload.rubbos import RubbosMix
 
     calib = config.calibration
     env = Environment()
     island = Island(env, index, "backend" if include_db else "tomcat")
-    # serial (_build_single) order restricted to this island's tiers.
+    # serial (ThreeTierSystem._build_chain, one slice) order restricted
+    # to this island's tiers.
     db_cpu = CPU(env, calib, name="mysql-cpu") if include_db else None
     app_cpu = CPU(env, calib, name="tomcat-cpu")
     tier_link = Link.lan(calib, added_latency=config.inter_tier_latency)
@@ -429,25 +361,9 @@ def build_ntier_tomcat(config, index: int, include_db: bool):
             calib,
             connect=lambda i: island.make_stub(2, tier_link, announce=False),
         )
-    cache_tier = None
-    if config.cache is not None:
-        cache_tier = CacheTier(
-            env,
-            config.cache,
-            SeedStreams(config.seed).fork("cache").stream("keys"),
-            calib,
-        )
-    servlet_app = ServletApplication(tomcat_db_pool, cache=cache_tier)
-    if config.tomcat_variant == "sync":
-        app_server = TomcatSyncServer(env, app_cpu, app=servlet_app, name="tomcat-v7")
-    else:
-        app_server = TomcatAsyncServer(
-            env,
-            app_cpu,
-            app=servlet_app,
-            name="tomcat-v8",
-            workers=config.tomcat_workers,
-        )
+    app_server, cache_tier = build_tomcat(
+        env, config, "tomcat", app_cpu, tomcat_db_pool, ("keys",)
+    )
     # serial: the apache_tomcat_pool's connections attach here.
     island.serve_cut(1, app_server, tier_link, calib)
     island.attach_edges(1, config.apache_tomcat_pool)
@@ -457,29 +373,16 @@ def build_ntier_tomcat(config, index: int, include_db: bool):
         mix = config.mix if config.mix is not None else RubbosMix()
         cache_tier.prewarm_from_mix(mix)
     cpus = {"tomcat": app_cpu}
+    server_tiers = [("tomcat", [app_server])]
     if include_db:
         cpus["mysql"] = db_cpu
-    starts = _watch_tiers(env, cpus, config.warmup)
-    lazy_cohort = _ntier_lazy_cohort(config)
+        server_tiers.append(("mysql", [db_server]))
+    tier_fragments = _tier_fragments(env, config, cpus, server_tiers)
 
     def finish():
-        utilization, switch_rate = _tier_usage(cpus, starts)
-        server_stats: Dict[str, float] = {}
-        if lazy_cohort:
-            tiers = [("tomcat", [app_server])]
-            if include_db:
-                tiers.append(("mysql", [db_server]))
-            server_stats = _tier_server_stats(tiers)
-        cache_totals: Dict[str, float] = {}
-        if cache_tier is not None:
-            for key, value in cache_tier.counters().items():
-                cache_totals[key] = cache_totals.get(key, 0.0) + value
         return {
-            "tier_utilization": utilization,
-            "tier_switch_rate": switch_rate,
-            "server_stats": server_stats,
-            "cache_totals": cache_totals,
-            "cache_present": cache_tier is not None,
+            **tier_fragments(),
+            "cache_stats": cache_tier.counters() if cache_tier is not None else {},
             "report_cpu": watch.usage(),
         }
 
@@ -501,19 +404,6 @@ def build_ntier_mysql(config, index: int):
     # serial: the tomcat_db_pool's connections attach here.
     island.serve_cut(2, db_server, tier_link, calib)
     island.attach_edges(2, config.tomcat_db_pool)
-    cpus = {"mysql": db_cpu}
-    starts = _watch_tiers(env, cpus, config.warmup)
-    lazy_cohort = _ntier_lazy_cohort(config)
-
-    def finish():
-        utilization, switch_rate = _tier_usage(cpus, starts)
-        server_stats: Dict[str, float] = {}
-        if lazy_cohort:
-            server_stats = _tier_server_stats((("mysql", [db_server]),))
-        return {
-            "tier_utilization": utilization,
-            "tier_switch_rate": switch_rate,
-            "server_stats": server_stats,
-        }
-
-    return island, finish
+    return island, _tier_fragments(
+        env, config, {"mysql": db_cpu}, [("mysql", [db_server])]
+    )

@@ -54,22 +54,18 @@ def merge_ntier(config, payloads, shard_stats, sim_wall):
     utilization: Dict[str, float] = {}
     switch_rate: Dict[str, float] = {}
     server_stats: Dict[str, float] = {}
-    cache_totals: Dict[str, float] = {}
-    cache_present = False
+    cache_stats: Dict[str, float] = {}
     dag_stats: Dict[str, float] = {}
     tomcat_peak = 0
     for payload in payloads[1:]:
         utilization.update(payload.get("tier_utilization", {}))
         switch_rate.update(payload.get("tier_switch_rate", {}))
         server_stats.update(payload.get("server_stats", {}))
-        for key, value in payload.get("cache_totals", {}).items():
-            cache_totals[key] = cache_totals.get(key, 0.0) + value
-        cache_present = cache_present or payload.get("cache_present", False)
+        cache_stats.update(payload.get("cache_stats", {}))
         dag_stats.update(payload.get("dag_stats", {}))
         tomcat_peak += payload.get("tomcat_peak", 0)
         if "report_cpu" in payload:
             report = _graft_cpu(report, payload["report_cpu"])
-    cache_stats = cache_totals if (cache_totals or cache_present) else {}
     return NTierResult(
         config=config,
         report=report,

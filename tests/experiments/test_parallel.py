@@ -227,6 +227,24 @@ def test_stray_environment_cannot_poison_the_memo(tmp_path, monkeypatch):
     assert result == run_ntier(config)
 
 
+def test_sharded_results_are_not_served_to_serial_runs(tmp_path, monkeypatch):
+    """A sharded run's ``kernel_events`` sums the islands' kernels (cut
+    bookkeeping included) and takes part in result equality, so the
+    shard count is part of the memo key: a ``REPRO_SHARDS=2`` entry
+    must not answer a later serial call."""
+    monkeypatch.setenv(parallel.CACHE_DIR_ENV, str(tmp_path))
+    config = NTierConfig(
+        "async", users=10, think_mean=0.2, duration=0.6, warmup=0.2,
+        client_latency=0.002,
+    )
+    monkeypatch.setenv("REPRO_SHARDS", "2")
+    assert cached_ntier(config, label="shards").shard_events
+    monkeypatch.delenv("REPRO_SHARDS")
+    result = cached_ntier(config, label="shards")
+    assert not result.shard_events
+    assert result == run_ntier(config)
+
+
 # ----------------------------------------------------------------------
 # Fallbacks
 # ----------------------------------------------------------------------

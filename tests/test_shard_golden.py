@@ -12,7 +12,9 @@ rows pin that contract over the accepted partition envelope:
 * the 3-tier chain at 2 and 4 islands with nonzero client latency
   (every pool cut is exercised);
 * a provisioned (``eager_connections``) cohort bundle through the full
-  chain — the million-client scouting shape in miniature.
+  chain — the million-client scouting shape in miniature;
+* the chain with a cache tier, whose counters must survive the trip
+  back from the island that owns the Tomcat tier.
 
 Each row must match the serial digest *and* prove the sharded kernel
 actually engaged (``result.shard_events`` non-empty) — a silent serial
@@ -30,6 +32,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.cache import CacheConfig
 from repro.cohort import CohortConfig
 from repro.experiments.micro import MicroConfig, run_micro
 from repro.experiments.parallel import SweepExecutor
@@ -68,6 +71,15 @@ _NTIER_CONFIGS = {
         client_latency=0.005,
         cohort=CohortConfig(
             max_inflight=128, first_think=True, eager_connections=True
+        ),
+    ),
+    # Cache tier on the Tomcat island: ``cache_stats`` must come back
+    # through the backend island at 2 shards and the tomcat island at 4.
+    "cache": NTierConfig(
+        "async", users=100, duration=2.0, warmup=0.8, client_latency=0.005,
+        cache=CacheConfig(
+            policy="write_through", ttl=0.5, capacity=32, l2_capacity=128,
+            write_ratio=0.1, keys_per_class=4, prewarm=True,
         ),
     ),
 }

@@ -1,11 +1,15 @@
 #!/usr/bin/env bash
-# CI gate: run the test suite in six tiers and report each tier's wall clock.
+# CI gate: run the test suite in seven tiers and report each tier's wall clock.
 #
 #   fast tier     everything except the real-socket, chaos and shard
 #                 tests, plus the cache, failover, DAG and million-client
 #                 artifact benchmarks, with sweeps fanned out over all
 #                 cores (REPRO_JOBS=auto) and the on-disk result cache
 #                 enabled -- a warm .repro-cache/ makes this tier cheap.
+#   bench tier    the repo benchmark's own tests (bench/tests): the
+#                 layer map must cover every src/repro entry, the verdict
+#                 rules must hold, and a quick run of each of the five
+#                 workloads must reproduce its pinned result digest.
 #   chaos tier    the fault-injection sweeps plus the resilience-marked
 #                 tests (-m "chaos or resilience") and the metastable-
 #                 failure benchmark: slower end-to-end determinism and
@@ -62,6 +66,9 @@ run_tier fast -m "not realnet and not chaos and not shard" tests \
     benchmarks/test_bench_cache.py benchmarks/test_bench_failover.py \
     benchmarks/test_bench_dag.py benchmarks/test_bench_million.py "$@"
 
+echo "[ci_check] bench tier"
+run_tier bench bench/tests "$@"
+
 echo "[ci_check] chaos tier"
 run_tier chaos -m "chaos or resilience" tests benchmarks/test_bench_metastable.py "$@"
 
@@ -98,4 +105,4 @@ else
     echo "[ci_check] perf-smoke tier skipped (no BENCH_core.json)"
 fi
 
-echo "[ci_check] done: fast ${fast_elapsed}s + chaos ${chaos_elapsed}s + shard ${shard_elapsed}s + realnet ${realnet_elapsed}s + tcpfast ${tcpfast_elapsed}s + perf ${perf_elapsed}s"
+echo "[ci_check] done: fast ${fast_elapsed}s + bench ${bench_elapsed}s + chaos ${chaos_elapsed}s + shard ${shard_elapsed}s + realnet ${realnet_elapsed}s + tcpfast ${tcpfast_elapsed}s + perf ${perf_elapsed}s"
