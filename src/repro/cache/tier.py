@@ -18,7 +18,7 @@ misses of one key elect a leader (the first misser) whose fetch fills
 the cache; followers park on the leader's flight event — bounded by
 their own deadline — instead of issuing duplicate database fetches.
 With ``single_flight=False`` every miss fetches, which is exactly the
-miss-storm amplification the ``repro-bench cache`` artifact measures.
+miss-storm amplification the ``repro-bench run cache`` artifact measures.
 
 Determinism: key/write draws come from one seeded stream consumed in
 simulation-event order, flights resolve through ordinary kernel events,

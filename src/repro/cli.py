@@ -5,38 +5,12 @@ Commands
 ``repro-bench list``
     Show every reproducible artifact with its rough runtime.
 ``repro-bench run fig7 [--scale 0.3] [--jobs 4]``
-    Regenerate one artifact, print the table and shape checks.
+    Regenerate one artifact, print the table and shape checks.  Besides
+    the paper's figures and tables, the ids include ``chaos``,
+    ``metastable``, ``cache``, ``failover``, ``million``, ``dag`` and
+    ``shard`` (``repro-bench list`` shows them all).
 ``repro-bench all [--scale 0.3] [--jobs auto] [--markdown experiments.md]``
     Regenerate everything; optionally write a markdown report.
-``repro-bench chaos [--scale 0.3] [--jobs 4]``
-    Shortcut for ``run chaos``: the fault-injection resilience sweep.
-``repro-bench metastable [--scale 0.3] [--jobs 4]``
-    Shortcut for ``run metastable``: the metastable-failure study
-    (naive retries vs the cross-tier resilience stack).
-``repro-bench cache [--scale 0.3] [--jobs 4]``
-    Shortcut for ``run cache``: the cache-stampede study (duplicate
-    miss fetches vs single-flight request coalescing).
-``repro-bench failover [--scale 0.3] [--jobs 4]``
-    Shortcut for ``run failover``: the replica-failover study
-    (crash-restart of one instance under no-failover vs outlier
-    ejection vs ejection+hedging, plus the cold-cache restart
-    stampede).
-``repro-bench million [--scale 0.3] [--jobs 4]``
-    Shortcut for ``run million``: the million-client scale study
-    (cohort-level flow aggregation with lazy materialization vs the
-    per-client builder, with heap and determinism probes).
-``repro-bench dag [--scale 0.3] [--jobs 4]``
-    Shortcut for ``run dag``: the service-dependency DAG study (p99
-    amplification vs fan-out, wait_all/quorum/best_effort fan-in under
-    a single-branch gray failure, latency-aware outlier ejection).
-``repro-bench shard [--scale 0.3]``
-    Shortcut for ``run shard``: the sharded parallel kernel study
-    (wall clock vs. shard count on the 1M-cohort n-tier shape and a
-    wide DAG, with bit-identical-to-serial checks).
-``repro-bench perf [--scale 0.3] [--out BENCH_core.json] [--check BENCH_core.json]``
-    Run the kernel perf-benchmark suite (events/sec, timeout churn, TCP
-    throughput, micro wall time); optionally write the tracked JSON or
-    gate against a committed baseline.
 ``repro-bench calibration``
     Print the calibration constants in use.
 ``repro-bench sweep-cache [--clear]``
@@ -112,53 +86,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("artifact", help="artifact id, e.g. fig7 or tab4")
     _add_sweep_flags(run)
 
-    chaos = sub.add_parser("chaos", help="run the fault-injection chaos sweep")
-    _add_sweep_flags(chaos)
-
-    metastable = sub.add_parser(
-        "metastable", help="run the metastable-failure resilience study"
-    )
-    _add_sweep_flags(metastable)
-
-    cache = sub.add_parser(
-        "cache", help="run the cache-stampede single-flight study"
-    )
-    _add_sweep_flags(cache)
-
-    failover = sub.add_parser(
-        "failover", help="run the replica-failover crash-restart study"
-    )
-    _add_sweep_flags(failover)
-
-    million = sub.add_parser(
-        "million", help="run the million-client cohort-aggregation study"
-    )
-    _add_sweep_flags(million)
-
-    dag = sub.add_parser(
-        "dag", help="run the service-dependency DAG fan-out/fan-in study"
-    )
-    _add_sweep_flags(dag)
-
-    shard = sub.add_parser(
-        "shard", help="run the sharded-kernel wall-clock study"
-    )
-    _add_sweep_flags(shard)
-
-    perf = sub.add_parser("perf", help="run the kernel perf-benchmark suite")
-    perf.add_argument("--scale", type=float, default=1.0,
-                      help="iteration-count scale in (0, 1]; lower = faster")
-    perf.add_argument("--repeats", type=int, default=3,
-                      help="rounds per benchmark (best round is kept)")
-    perf.add_argument("--out", default=None, metavar="PATH",
-                      help="write the suite results as JSON (BENCH_core.json)")
-    perf.add_argument("--check", default=None, metavar="BASELINE",
-                      help="fail when a rate metric regresses more than "
-                      "--tolerance below this committed BENCH_core.json")
-    perf.add_argument("--tolerance", type=float, default=0.30,
-                      help="allowed fractional regression for --check "
-                      "(default 0.30)")
-
     all_cmd = sub.add_parser("all", help="regenerate every artifact")
     _add_sweep_flags(all_cmd)
     all_cmd.add_argument("--markdown", default=None,
@@ -188,7 +115,7 @@ def _cmd_cache(clear: bool) -> int:
         removed = clear_cache(root)
         print(f"removed {removed} cached point(s) from {root}")
         return 0
-    entries = list(root.rglob("*.pkl")) if root.exists() else []
+    entries = list(root.glob("*/*.pkl"))
     total = sum(path.stat().st_size for path in entries)
     print(f"cache directory: {root}")
     print(f"cached points:   {len(entries)}")
@@ -252,31 +179,6 @@ def _cmd_all(scale: float, jobs: Optional[str], markdown: Optional[str],
     return 1 if failures else 0
 
 
-def _cmd_perf(scale: float, repeats: int, out: Optional[str],
-              check: Optional[str], tolerance: float) -> int:
-    from repro.experiments.artifacts_perf import (
-        compare_to_baseline,
-        load_baseline,
-        render_perf_suite,
-        run_perf_suite,
-        write_bench_json,
-    )
-
-    payload = run_perf_suite(scale=scale, repeats=repeats)
-    print(render_perf_suite(payload))
-    if out:
-        path = write_bench_json(payload, out)
-        print(f"perf results written to {path}")
-    if check:
-        failures = compare_to_baseline(payload, load_baseline(check), tolerance)
-        if failures:
-            for failure in failures:
-                print(f"perf regression: {failure}", file=sys.stderr)
-            return 1
-        print(f"perf check passed (within {tolerance:.0%} of {check})")
-    return 0
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
     args = build_parser().parse_args(argv)
@@ -289,23 +191,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             return _cmd_cache(args.clear)
         if args.command == "run":
             return _cmd_run(args.artifact, args.scale, args.jobs, args.shards)
-        if args.command == "chaos":
-            return _cmd_run("chaos", args.scale, args.jobs, args.shards)
-        if args.command == "metastable":
-            return _cmd_run("metastable", args.scale, args.jobs, args.shards)
-        if args.command == "cache":
-            return _cmd_run("cache", args.scale, args.jobs, args.shards)
-        if args.command == "failover":
-            return _cmd_run("failover", args.scale, args.jobs, args.shards)
-        if args.command == "million":
-            return _cmd_run("million", args.scale, args.jobs, args.shards)
-        if args.command == "dag":
-            return _cmd_run("dag", args.scale, args.jobs, args.shards)
-        if args.command == "shard":
-            return _cmd_run("shard", args.scale, args.jobs, args.shards)
-        if args.command == "perf":
-            return _cmd_perf(args.scale, args.repeats, args.out,
-                             args.check, args.tolerance)
         if args.command == "all":
             return _cmd_all(args.scale, args.jobs, args.markdown, args.shards)
     except ReproError as exc:

@@ -206,8 +206,8 @@ def million_clients(
         "connected population where only the active fringe touches the "
         "server; the big-run row is tracemalloc-instrumented (the heap "
         "bound is its claim), which inflates its wall clock severalfold "
-        "— the untraced rate lives in BENCH_core.json "
-        "(million_clients_per_sec)"
+        "— the untraced 1M-cohort wall clock is the million-ntier "
+        "workload of bench/"
     )
     result.note(
         "the classic baseline's per-event cost grows with attached "

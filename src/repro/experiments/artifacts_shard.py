@@ -263,9 +263,5 @@ def shard_speedup(
         + ("show real parallelism" if cores >= _SPEEDUP_CORES else
            "time-slice one core, so they show sync overhead, not speedup")
     )
-    result.note(
-        "the tracked interleaved A/B lives in BENCH_core.json "
-        "(shard_requests_per_sec, shard_speedup); REPRO_SHARDS=N / "
-        "--shards N is the opt-in"
-    )
+    result.note("REPRO_SHARDS=N / --shards N is the opt-in")
     return result

@@ -43,7 +43,6 @@ from __future__ import annotations
 import hashlib
 import os
 import pickle
-import shutil
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, fields, is_dataclass, replace
@@ -114,13 +113,25 @@ def cache_root() -> Optional[Path]:
 
 
 def clear_cache(root: Optional[Path] = None) -> int:
-    """Delete every cached point; returns how many entries were removed."""
+    """Delete every cached point; returns how many entries were removed.
+
+    Only what the memo writes goes: the ``<label>/*.pkl`` points, the
+    ``*.tmp.<pid>`` files of interrupted writes, and then the directories
+    that leaves empty.  Other files under ``root`` stay, since
+    ``REPRO_CACHE_DIR`` may name a directory that holds them.
+    """
     root = root if root is not None else cache_root()
-    if root is None or not root.exists():
+    if root is None or not root.is_dir():
         return 0
-    removed = sum(1 for _ in root.rglob("*.pkl"))
-    shutil.rmtree(root)
-    return removed
+    points = list(root.glob("*/*.pkl"))
+    for path in points + list(root.glob("*/*.tmp.[0-9]*")):
+        path.unlink(missing_ok=True)
+    for directory in [path for path in root.iterdir() if path.is_dir()] + [root]:
+        try:
+            directory.rmdir()
+        except OSError:
+            pass  # still holds files the memo did not write
+    return len(points)
 
 
 _code_digest_cache: Optional[str] = None

@@ -536,8 +536,8 @@ class Environment:
         self._queue: List[tuple] = []
         self._eid = count()
         self._active_process: Optional[Process] = None
-        #: Events popped and processed so far (perf-suite instrumentation;
-        #: lazily-cancelled entries that are skipped do not count).
+        #: Events popped and processed so far (run results report it as
+        #: ``kernel_events``; skipped lazily-cancelled entries do not count).
         self.events_processed = 0
         #: Free list of recycled :class:`_PooledTimeout` objects.
         self._timeout_pool: List[_PooledTimeout] = []

@@ -45,12 +45,6 @@ def test_parser_all_markdown_flag():
     assert args.scale == 0.2
 
 
-def test_parser_metastable_sweep_flags():
-    args = build_parser().parse_args(["metastable", "--scale", "0.5", "--jobs", "4"])
-    assert args.scale == 0.5
-    assert args.jobs == "4"
-
-
 def test_parser_accepts_jobs():
     assert build_parser().parse_args(["run", "fig7", "--jobs", "4"]).jobs == "4"
     assert build_parser().parse_args(["all", "--jobs", "auto"]).jobs == "auto"
@@ -73,12 +67,6 @@ def test_invalid_shards_is_an_error_before_simulating(shards, monkeypatch, capsy
     assert "shards" in capsys.readouterr().err
 
 
-def test_parser_cache_sweep_flags():
-    args = build_parser().parse_args(["cache", "--scale", "0.5", "--jobs", "4"])
-    assert args.scale == 0.5
-    assert args.jobs == "4"
-
-
 def test_sweep_cache_status_and_clear(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
     (tmp_path / "fig7").mkdir(parents=True)
@@ -88,6 +76,23 @@ def test_sweep_cache_status_and_clear(tmp_path, monkeypatch, capsys):
     assert main(["sweep-cache", "--clear"]) == 0
     assert "removed 1" in capsys.readouterr().out
     assert not tmp_path.exists()
+
+
+def test_sweep_cache_clear_keeps_foreign_files(tmp_path, monkeypatch, capsys):
+    """``--clear`` deletes the memo's points and interrupted writes only:
+    ``REPRO_CACHE_DIR`` may name a directory that holds other files."""
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    (tmp_path / "notes.txt").write_text("keep")
+    (tmp_path / "fig7").mkdir()
+    (tmp_path / "fig7" / "micro-abc.pkl").write_bytes(b"x")
+    (tmp_path / "fig7" / "micro-abd.tmp.4242").write_bytes(b"x")
+    (tmp_path / "docs").mkdir()
+    (tmp_path / "docs" / "plan.md").write_text("keep")
+    assert main(["sweep-cache", "--clear"]) == 0
+    assert "removed 1" in capsys.readouterr().out
+    assert sorted(str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*")) == [
+        "docs", "docs/plan.md", "notes.txt",
+    ]
 
 
 def test_sweep_cache_disabled_message(monkeypatch, capsys):
