@@ -68,6 +68,7 @@ def test_invalid_shards_is_an_error_before_simulating(shards, monkeypatch, capsy
 
 
 def test_sweep_cache_status_and_clear(tmp_path, monkeypatch, capsys):
+    monkeypatch.delenv("REPRO_CACHE", raising=False)
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
     (tmp_path / "fig7").mkdir(parents=True)
     (tmp_path / "fig7" / "micro-abc.pkl").write_bytes(b"x")
@@ -81,6 +82,7 @@ def test_sweep_cache_status_and_clear(tmp_path, monkeypatch, capsys):
 def test_sweep_cache_clear_keeps_foreign_files(tmp_path, monkeypatch, capsys):
     """``--clear`` deletes the memo's points and interrupted writes only:
     ``REPRO_CACHE_DIR`` may name a directory that holds other files."""
+    monkeypatch.delenv("REPRO_CACHE", raising=False)
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
     (tmp_path / "notes.txt").write_text("keep")
     (tmp_path / "fig7").mkdir()

@@ -194,6 +194,7 @@ def test_cached_micro_matches_run_micro(tmp_path, monkeypatch):
 
 
 def test_cached_call_memoises_by_arguments(tmp_path, monkeypatch):
+    monkeypatch.delenv(parallel.CACHE_ENV, raising=False)
     monkeypatch.setenv(parallel.CACHE_DIR_ENV, str(tmp_path))
     assert cached_call(divmod, 7, 3, label="memo") == (2, 1)
     assert cached_call(divmod, 7, 3, label="memo") == (2, 1)  # from cache

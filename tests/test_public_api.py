@@ -1,6 +1,7 @@
 """Public API surface checks."""
 
 import importlib
+import pkgutil
 
 import pytest
 
@@ -17,11 +18,13 @@ def test_all_exports_resolve():
 
 
 def test_subpackage_all_exports_resolve():
-    for module_name in [
-        "repro.sim", "repro.cpu", "repro.net", "repro.servers", "repro.core",
-        "repro.workload", "repro.ntier", "repro.metrics", "repro.experiments",
-        "repro.realnet", "repro.faults", "repro.resilience",
-    ]:
+    subpackages = [
+        info.name
+        for info in pkgutil.iter_modules(repro.__path__, prefix="repro.")
+        if info.ispkg
+    ]
+    assert subpackages
+    for module_name in subpackages:
         module = importlib.import_module(module_name)
         assert module.__all__, module_name
         for name in module.__all__:
