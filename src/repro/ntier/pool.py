@@ -107,26 +107,8 @@ class ConnectionPool:
         that already gave up.
         """
         get = self.acquire()
-        timer = self.env.timeout(max(0.0, budget))
-        yield self.env.any_of([get, timer])
-        if get.triggered:
-            # Granted (possibly in the same tick the timer fired): take it.
-            return get.value
-        if not self._idle.cancel(get):
-            # The grant raced the deadline tick: per Store.cancel, a claim
-            # whose item was already assigned cannot be withdrawn — the
-            # connection is ours now, so hand it straight back instead of
-            # leaking it (and undercounting in_use forever).
-            pending = get.callbacks
-            if pending is not None and self._on_acquired in pending:
-                # The grant has not been processed yet: drop our checkout
-                # accounting hook and return the connection directly, so
-                # it was never observed as in use.
-                pending.remove(self._on_acquired)
-                self._idle.put(get.value)
-            else:
-                self.release(get.value)
-        return None
+        yield self.env.any_of([get, self.env.timeout(max(0.0, budget))])
+        return self._withdraw(get)
 
     def acquire_unless(
         self, cancel: Event
@@ -135,17 +117,28 @@ class ConnectionPool:
 
         Generator (use ``yield from``); returns the connection, or
         ``None`` when ``cancel`` won the race — the hedging path's
-        analogue of :meth:`acquire_within`, with the same withdrawn-claim
-        race handling so a grant that beat the cancel tick is returned to
-        the pool instead of leaked.
+        analogue of :meth:`acquire_within`.
         """
         get = self.acquire()
         yield self.env.any_of([get, cancel])
+        return self._withdraw(get)
+
+    def _withdraw(self, get: Event) -> Optional[Connection]:
+        """The connection ``get`` was granted, or ``None`` after
+        withdrawing the claim of a caller that gave up waiting."""
         if get.triggered:
+            # Granted (possibly in the same tick the wait ended): take it.
             return get.value
         if not self._idle.cancel(get):
+            # The grant raced the give-up tick: per Store.cancel, a claim
+            # whose item was already assigned cannot be withdrawn — the
+            # connection is ours now, so hand it straight back instead of
+            # leaking it (and undercounting in_use forever).
             pending = get.callbacks
             if pending is not None and self._on_acquired in pending:
+                # The grant has not been processed yet: drop our checkout
+                # accounting hook and return the connection directly, so
+                # it was never observed as in use.
                 pending.remove(self._on_acquired)
                 self._idle.put(get.value)
             else:

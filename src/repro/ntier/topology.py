@@ -24,7 +24,7 @@ from repro.metrics.collector import RunRecorder, RunReport
 from repro.net.link import Link
 from repro.ntier.applications import ProxyApplication, QueryApplication, ServletApplication
 from repro.ntier.pool import ConnectionPool
-from repro.replica import BalancedProxyApplication, Replica, ReplicaConfig, ReplicaGroup
+from repro.replica import Replica, ReplicaConfig, ReplicaGroup
 from repro.resilience import CircuitBreaker, HedgePolicy, ResiliencePolicy, RetryBudget
 from repro.servers.base import BaseServer, ServerLimits
 from repro.servers.threaded import ThreadedServer
@@ -150,9 +150,6 @@ class ThreeTierSystem:
         #: Replica group for the Tomcat tier (``None`` unless
         #: ``config.replica`` is active; ``replicas=1`` builds none).
         self.replica_group: Optional[ReplicaGroup] = None
-        #: The balancing proxy application (replicated build only); the
-        #: runner attaches the hedge policy here once the budget exists.
-        self.balanced_app: Optional[BalancedProxyApplication] = None
         #: The live DAG (``None`` unless the run carries a :class:`DagConfig`).
         self.dag_system = None
         if config.dag is not None:
@@ -253,11 +250,10 @@ class ThreeTierSystem:
         slices = list(self.tomcats.values())
         if replicated:
             self.replica_group = ReplicaGroup(env, config.replica, slices)
-            self.balanced_app = BalancedProxyApplication(self.replica_group)
-            front_app = self.balanced_app
-        else:
-            front_app = ProxyApplication(slices[0].pool)
-        # Apache tier: thread-based reverse proxy.
+        # Apache tier: thread-based reverse proxy over one slice or N.
+        front_app = ProxyApplication(
+            self.replica_group if replicated else slices[0].pool
+        )
         self.web_server = ThreadedServer(
             env, self.web_cpu, app=front_app, name="apache"
         )
@@ -558,12 +554,12 @@ def run_ntier(config: NTierConfig, shards: Optional[int] = None) -> NTierResult:
     if (
         policy is not None
         and policy.hedge is not None
-        and system.balanced_app is not None
+        and system.replica_group is not None
     ):
         # Hedges spend tokens from the same bucket retries do, so the
         # combined amplification stays inside one budget.
         hedge_policy = HedgePolicy(policy.hedge, budget)
-        system.balanced_app.hedge = hedge_policy
+        system.web_server.app.hedge = hedge_policy
     system.start_probes()
 
     mix = config.mix if config.mix is not None else RubbosMix()

@@ -56,6 +56,9 @@ class Replica:
         self.db_pool = db_pool
         #: The instance's private cache tier (cold after a restart).
         self.cache = cache
+        #: The balancer routing to this replica (set when one adopts it);
+        #: routed calls report their outcome to it.
+        self.balancer: Optional["LoadBalancer"] = None
         #: Requests currently routed to this replica and not yet resolved.
         self.outstanding = 0
         #: Consecutive failed attempts, cleared by any success.
@@ -140,6 +143,8 @@ class LoadBalancer:
         self.env = env
         self.config = config.validate()
         self.replicas = replicas
+        for replica in replicas:
+            replica.balancer = self
         self._rr = 0
         #: Successful pick decisions handed out.
         self.picks = 0

@@ -14,7 +14,7 @@ attractor the paper's collapse measurements hint at:
   amplification (:class:`RetryBudget`);
 * **circuit breakers** — per-upstream failure windows fast-fail calls to
   a sick tier (:class:`CircuitBreaker`, consulted by
-  :mod:`repro.ntier.pool` users);
+  :func:`repro.ntier.applications.route`);
 * **adaptive admission control** — an AIMD concurrency limiter discovers
   a server's sustainable ``max_inflight`` from observed latency
   (:class:`AdaptiveLimiter`, wired through
@@ -22,7 +22,7 @@ attractor the paper's collapse measurements hint at:
 * **hedged requests** — against a replicated tier, a backup attempt to a
   different replica after a streaming-quantile delay, first response
   wins, paid for out of the retry budget (:class:`HedgePolicy`, consumed
-  by :mod:`repro.replica.proxy`).
+  by :class:`~repro.ntier.applications.ProxyApplication`).
 
 Everything is deterministic (no RNG draws, no wall clock) and provably
 zero-impact when disabled: with ``ResiliencePolicy`` absent no object in

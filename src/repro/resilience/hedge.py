@@ -3,7 +3,7 @@
 A :class:`HedgePolicy` is the runtime companion of the frozen
 :class:`~repro.resilience.policy.HedgeConfig`: it tracks observed
 response latencies in a streaming :class:`~repro.metrics.stats.P2Quantile`
-and answers two questions for the balanced proxy —
+and answers two questions for Apache's proxy over a replica group —
 
 * *when* to issue the backup (``delay()``: the configured latency
   quantile, floored at ``min_delay``, with a fixed ``initial_delay``
