@@ -33,7 +33,7 @@ from repro.cache import CacheConfig
 from repro.experiments.parallel import SweepExecutor
 from repro.experiments.results import ArtifactResult
 from repro.net.messages import Request
-from repro.ntier.topology import NTierConfig, NTierResult
+from repro.ntier.topology import NTierConfig
 from repro.resilience import ResiliencePolicy
 from repro.sim.core import Environment
 from repro.workload.client import RetryPolicy
@@ -132,22 +132,6 @@ def _stampede_config(
     )
 
 
-def _padded_timeline(result: NTierResult) -> List[int]:
-    """Goodput timeline zero-padded to the run length (the trailing
-    zeros of a collapsed run *are* the finding)."""
-    buckets = int(round(result.config.duration / _BUCKET))
-    timeline = list(result.goodput_timeline[:buckets])
-    timeline.extend([0] * (buckets - len(timeline)))
-    return timeline
-
-
-def _window_rate(timeline: List[int], start: float, end: float) -> float:
-    """Mean goodput (successes/second) over [start, end) sim time."""
-    lo, hi = int(start / _BUCKET), int(end / _BUCKET)
-    span = (hi - lo) * _BUCKET
-    return sum(timeline[lo:hi]) / span if span > 0 else 0.0
-
-
 def _hit_ratio(stats: Dict[str, float]) -> float:
     lookups = stats.get("cache_l1_hits", 0.0) + stats.get("cache_l1_misses", 0.0)
     hits = stats.get("cache_l1_hits", 0.0) + stats.get("cache_l2_hits", 0.0)
@@ -201,9 +185,8 @@ def cache_stampedes(
     duration = next(iter(runs.values())).config.duration
     for key in cells:
         run = runs[key]
-        timeline = _padded_timeline(run)
-        pre[key] = _window_rate(timeline, _WARMUP, _EXPIRY)
-        post[key] = _window_rate(timeline, _EXPIRY + _GRACE, run.config.duration)
+        pre[key] = run.goodput_rate(_WARMUP, _EXPIRY)
+        post[key] = run.goodput_rate(_EXPIRY + _GRACE, run.config.duration)
         stats = run.cache_stats
         coalesced = stats.get("cache_coalesced", 0.0)
         result.add_row(

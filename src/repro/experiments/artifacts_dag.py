@@ -29,13 +29,13 @@ Everything is seeded and deterministic regardless of ``--jobs``.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.dag import DagConfig, Edge, ServiceNode
 from repro.experiments.parallel import SweepExecutor
 from repro.experiments.results import ArtifactResult
 from repro.faults import DegradeWindow, FaultPlan
-from repro.ntier.topology import NTierConfig, NTierResult
+from repro.ntier.topology import NTierConfig
 from repro.replica import ReplicaConfig
 from repro.resilience import ResiliencePolicy
 from repro.workload.mixes import FixedMix
@@ -193,14 +193,6 @@ def _eject_config(replica: Optional[ReplicaConfig]) -> NTierConfig:
     )
 
 
-def _window_rate(result: NTierResult, start: float, end: float) -> float:
-    """Mean goodput (successes/second) over [start, end) sim time."""
-    lo, hi = int(start / _BUCKET), int(end / _BUCKET)
-    span = (hi - lo) * _BUCKET
-    timeline = result.goodput_timeline
-    return sum(timeline[lo:hi]) / span if span > 0 else 0.0
-
-
 def dag_workloads(
     scale: float = 1.0, jobs: Optional[int] = None
 ) -> ArtifactResult:
@@ -318,11 +310,11 @@ def dag_workloads(
     healthy: Dict[str, float] = {}
     gray: Dict[str, float] = {}
     for policy in ("wait_all", "quorum", "best_effort"):
-        healthy[policy] = _window_rate(
-            runs[("fanin", policy, "healthy")], _GRAY_START, _GRAY_END
+        healthy[policy] = runs[("fanin", policy, "healthy")].goodput_rate(
+            _GRAY_START, _GRAY_END
         )
-        gray[policy] = _window_rate(
-            runs[("fanin", policy, "gray")], _GRAY_START, _GRAY_END
+        gray[policy] = runs[("fanin", policy, "gray")].goodput_rate(
+            _GRAY_START, _GRAY_END
         )
     result.check(
         "wait_all: the single-branch gray failure collapses goodput "

@@ -42,7 +42,7 @@ reproduces exactly for a fixed seed regardless of ``--jobs``.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.cache import CacheConfig
 from repro.experiments.artifacts_cache import HotReportMix, STAMPEDE_RETRY
@@ -179,31 +179,18 @@ def _cold_config(single_flight: bool, scale: float) -> NTierConfig:
     )
 
 
-def _padded_timeline(result: NTierResult) -> List[int]:
-    """Goodput timeline zero-padded to the run length (the trailing
-    zeros of a collapsed run *are* the finding)."""
-    buckets = int(round(result.config.duration / _BUCKET))
-    timeline = list(result.goodput_timeline[:buckets])
-    timeline.extend([0] * (buckets - len(timeline)))
-    return timeline
-
-
-def _window_rate(timeline: List[int], start: float, end: float) -> float:
-    """Mean goodput (successes/second) over [start, end) sim time."""
-    lo, hi = int(start / _BUCKET), int(end / _BUCKET)
-    span = (hi - lo) * _BUCKET
-    return sum(timeline[lo:hi]) / span if span > 0 else 0.0
-
-
-def _dip_duration(timeline: List[int], pre: float) -> float:
+def _dip_duration(result: NTierResult, pre: float) -> float:
     """Seconds of consecutive goodput below 50% of the pre-crash rate,
-    measured from the crash instant — the outage as a client sees it."""
-    lo = int(_CRASH_START / _BUCKET)
+    measured from the crash instant to the end of the run — the outage
+    as a client sees it."""
+    bucket = result.config.timeline_bucket
     seconds = 0.0
-    for bucket in timeline[lo:]:
-        if bucket / _BUCKET >= 0.5 * pre:
+    for index in range(
+        int(_CRASH_START / bucket), int(round(result.config.duration / bucket))
+    ):
+        if result.goodput_rate(index * bucket, (index + 1) * bucket) >= 0.5 * pre:
             break
-        seconds += _BUCKET
+        seconds += bucket
     return seconds
 
 
@@ -273,13 +260,11 @@ def replica_failover(
         if key[0] == "zero":
             continue
         run = runs[key]
-        timeline = _padded_timeline(run)
         grace = _GRACE if key[0] == "lb" else _CACHE_WARM_RESTART + 0.5
-        pre[key] = _window_rate(timeline, _WARMUP, _CRASH_START)
-        down[key] = _window_rate(timeline, _CRASH_START, _CRASH_END)
-        post[key] = _window_rate(timeline, _CRASH_END + grace,
-                                 run.config.duration)
-        dip[key] = _dip_duration(timeline, pre[key])
+        pre[key] = run.goodput_rate(_WARMUP, _CRASH_START)
+        down[key] = run.goodput_rate(_CRASH_START, _CRASH_END)
+        post[key] = run.goodput_rate(_CRASH_END + grace, run.config.duration)
+        dip[key] = _dip_duration(run, pre[key])
         stats = run.cache_stats
         result.add_row(
             " ".join(key),

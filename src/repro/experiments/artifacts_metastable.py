@@ -23,12 +23,12 @@ for a fixed seed regardless of ``--jobs``.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import List, Optional
+from typing import Optional
 
 from repro.experiments.parallel import SweepExecutor
 from repro.experiments.results import ArtifactResult, breaker_totals
 from repro.faults import FaultPlan, StallWindow
-from repro.ntier.topology import NTierConfig, NTierResult
+from repro.ntier.topology import NTierConfig
 from repro.resilience import (
     AdmissionConfig,
     BreakerConfig,
@@ -93,26 +93,6 @@ def _metastable_config(
     )
 
 
-def _padded_timeline(result: NTierResult) -> List[int]:
-    """The goodput timeline zero-padded to the full run length.
-
-    The recorder only extends the bucket list when a success completes,
-    so a collapsed run yields a short tuple — the trailing zeros *are*
-    the finding and must be restored before windowed analysis.
-    """
-    buckets = int(round(result.config.duration / _BUCKET))
-    timeline = list(result.goodput_timeline[:buckets])
-    timeline.extend([0] * (buckets - len(timeline)))
-    return timeline
-
-
-def _window_rate(timeline: List[int], start: float, end: float) -> float:
-    """Mean goodput (successes/second) over [start, end) sim time."""
-    lo, hi = int(start / _BUCKET), int(end / _BUCKET)
-    span = (hi - lo) * _BUCKET
-    return sum(timeline[lo:hi]) / span if span > 0 else 0.0
-
-
 def metastable_failure(
     scale: float = 1.0, jobs: Optional[int] = None
 ) -> ArtifactResult:
@@ -170,12 +150,9 @@ def metastable_failure(
     post = {}
     for name in ("naive", "resilient"):
         run = runs[name]
-        timeline = _padded_timeline(run)
-        pre[name] = _window_rate(timeline, _WARMUP, _STALL.start)
-        stall_rate = _window_rate(timeline, _STALL.start, stall_end)
-        post[name] = _window_rate(
-            timeline, stall_end + _GRACE, run.config.duration
-        )
+        pre[name] = run.goodput_rate(_WARMUP, _STALL.start)
+        stall_rate = run.goodput_rate(_STALL.start, stall_end)
+        post[name] = run.goodput_rate(stall_end + _GRACE, run.config.duration)
         attempts = run.client_stats.get("attempts", 0.0)
         retries = run.client_stats.get("retries", 0.0)
         result.add_row(

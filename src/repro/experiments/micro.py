@@ -8,8 +8,7 @@ threads with zero think time, a fixed (or mixed) response size, optional
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Dict, Optional
 
 from repro.calibration import Calibration, DEFAULT_CALIBRATION
@@ -17,10 +16,9 @@ from repro.cohort import CohortConfig
 from repro.core.hybrid import HybridServer
 from repro.cpu.scheduler import CPU
 from repro.errors import ExperimentError
-from repro.faults import FaultInjector, FaultPlan, FaultReport
-from repro.metrics.collector import RunRecorder, RunReport
+from repro.faults import FaultPlan
 from repro.net.link import Link
-from repro.resilience import ResiliencePolicy, RetryBudget
+from repro.resilience import ResiliencePolicy
 from repro.servers.base import BaseServer, ServerLimits
 from repro.servers.netty import NettyServer
 from repro.servers.reactor import ReactorFixServer, ReactorServer
@@ -31,10 +29,10 @@ from repro.servers.threaded import ThreadedServer
 from repro.servers.tomcat import TomcatAsyncServer, TomcatSyncServer
 from repro.shard import resolve_shards
 from repro.sim.core import Environment
-from repro.sim.rng import SeedStreams
 from repro.workload.client import ExponentialThink, RetryPolicy
+from repro.workload.harness import RunResult, run_system
 from repro.workload.mixes import FixedMix, RequestMix
-from repro.workload.population import ConnectionOptions, build_population
+from repro.workload.population import ConnectionOptions
 
 __all__ = ["MicroConfig", "MicroResult", "run_micro", "SERVER_FACTORIES", "make_server"]
 
@@ -56,11 +54,11 @@ def _single(env, cpu, config):
 
 
 def _netty(env, cpu, config):
-    return NettyServer(env, cpu, workers=config.netty_workers, spin_threshold=config.spin_threshold)
+    return NettyServer(env, cpu, spin_threshold=config.spin_threshold)
 
 
 def _hybrid(env, cpu, config):
-    return HybridServer(env, cpu, workers=config.netty_workers, spin_threshold=config.spin_threshold)
+    return HybridServer(env, cpu, spin_threshold=config.spin_threshold)
 
 
 def _tomcat_sync(env, cpu, config):
@@ -110,18 +108,11 @@ class MicroConfig:
     autotune: bool = False
     calibration: Calibration = DEFAULT_CALIBRATION
     seed: int = 1
-    #: Worker pool size for the reactor architectures.  ``None`` sizes the
-    #: pool to the *active* thread count a tuned Tomcat settles at under
-    #: this workload: enough workers for the offered concurrency, capped
-    #: at 16 (Tomcat's executor keeps most of its 200 maxThreads parked
-    #: when a CPU-bound workload cannot use them; a small active pool is
-    #: also what makes sTomcat-Async-Fix latency-sensitive in Figure 7 —
-    #: spinning workers exhaust the pool during wait-ACK drains).
-    workers_override: Optional[int] = None
-    netty_workers: int = 1
     spin_threshold: Optional[int] = None
     #: Chaos plan for this run (``None`` or an all-zero plan → no fault
     #: machinery is instantiated at all; bit-identical to the default).
+    #: Stall windows seize the server's CPU; a crash or degrade window
+    #: raises before the run, since one server has no instance to target.
     fault_plan: Optional[FaultPlan] = None
     #: Client-side resilience policy (``None`` → historical client loop).
     retry: Optional[RetryPolicy] = None
@@ -142,8 +133,15 @@ class MicroConfig:
 
     @property
     def workers(self) -> int:
-        if self.workers_override is not None:
-            return self.workers_override
+        """Worker pool size for the reactor architectures.
+
+        The *active* thread count a tuned Tomcat settles at under this
+        workload: enough workers for the offered concurrency, capped at
+        16 (Tomcat's executor keeps most of its 200 maxThreads parked when
+        a CPU-bound workload cannot use them; a small active pool is also
+        what makes sTomcat-Async-Fix latency-sensitive in Figure 7 —
+        spinning workers exhaust the pool during wait-ACK drains).
+        """
         return max(2, min(16, self.concurrency))
 
     @property
@@ -154,8 +152,6 @@ class MicroConfig:
         simplified servers; 32 active workers reproduces its measured
         thread footprint.
         """
-        if self.workers_override is not None:
-            return self.workers_override
         return max(2, min(32, self.concurrency))
 
     def describe(self) -> str:
@@ -164,55 +160,9 @@ class MicroConfig:
         return f"{self.server} c={self.concurrency} resp={self.response_size}B{latency}"
 
 
-@dataclass(frozen=True)
-class MicroResult:
-    """Run output: the measurement report plus server-side counters."""
-
-    config: MicroConfig
-    report: RunReport
-    server_stats: Dict[str, float] = field(default_factory=dict)
-    #: Aggregated resilience counters across the client population (only
-    #: populated when the run used a retry policy or fault injection).
-    client_stats: Dict[str, float] = field(default_factory=dict)
-    #: Fault-injection report (``None`` for clean runs).
-    faults: Optional[FaultReport] = None
-    #: Resilience-machinery counters (budget/limiter/expiry); only
-    #: populated when the run used a :class:`ResiliencePolicy`, so the
-    #: default result shape — and every golden digest — is unchanged.
-    resilience: Dict[str, float] = field(default_factory=dict)
-    #: Aggregate-cohort counters; only populated when the run used a
-    #: lazy :class:`~repro.cohort.CohortConfig` (empty otherwise, so the
-    #: default result shape — and every golden digest — is unchanged).
-    cohort_stats: Dict[str, float] = field(default_factory=dict)
-    #: Simulation events processed by the kernel during this run.  A pure
-    #: function of the config, so it participates in equality (serial,
-    #: parallel and cached runs must agree on it).
-    kernel_events: int = 0
-    #: Host wall-clock seconds spent inside ``env.run`` (simulation only —
-    #: excludes model construction and report aggregation).  Wall clock is
-    #: not deterministic, so it is excluded from equality.
-    sim_wall_s: float = field(default=0.0, compare=False)
-    #: Per-shard kernel accounting (tuple of
-    #: :class:`repro.shard.ShardStats`); empty for serial runs.  Event
-    #: counts differ from the serial kernel's (cut-edge bookkeeping), and
-    #: stall times are wall clock, so the whole breakdown is excluded
-    #: from equality.
-    shard_events: "tuple" = field(default=(), compare=False)
-
-    @property
-    def events_per_sec(self) -> float:
-        """Kernel events per wall-clock second (0 when unmeasurable)."""
-        if self.sim_wall_s <= 0.0:
-            return 0.0
-        return self.kernel_events / self.sim_wall_s
-
-    @property
-    def throughput(self) -> float:
-        return self.report.throughput
-
-    @property
-    def response_time(self) -> float:
-        return self.report.response_time_mean
+#: A micro run's result: the shared run result, always with
+#: ``server_stats`` filled and the chain's counters empty.
+MicroResult = RunResult
 
 
 def suggest_timing(
@@ -268,15 +218,48 @@ def server_counters(server: BaseServer) -> Dict[str, float]:
     return stats
 
 
-def run_micro(
-    config: MicroConfig, streaming: bool = False, shards: Optional[int] = None
-) -> MicroResult:
+class _MicroSystem:
+    """One server on one CPU: the system a micro run drives.
+
+    Answers :func:`~repro.workload.harness.run_system`'s queries.
+    """
+
+    def __init__(self, env: Environment, config: MicroConfig):
+        self.config = config
+        self.app_cpu = CPU(env, config.calibration, name=f"{config.server}-cpu")
+        self.front_server = make_server(config.server, env, self.app_cpu, config)
+
+    def crash_targets(self) -> "list":
+        # One server is no instance a crash or degrade window may take
+        # down, so a plan that holds one fails the injector's range check.
+        return []
+
+    def start(self, policy, budget, mix) -> None:
+        limits = self.config.limits
+        if policy is not None and policy.admission is not None:
+            limits = replace(limits or ServerLimits(), adaptive=policy.admission)
+        if limits is not None:
+            self.front_server.limits = limits
+
+    def watch(self) -> None:
+        pass
+
+    def resilience_counters(self) -> Dict[str, float]:
+        server = self.front_server
+        counters = server.limiter.counters() if server.limiter is not None else {}
+        counters["requests_expired"] = float(server.stats.requests_expired)
+        return counters
+
+    def finish(self, reported: bool) -> Dict[str, object]:
+        return {"server_stats": server_counters(self.front_server)}
+
+
+def run_micro(config: MicroConfig, shards: Optional[int] = None) -> MicroResult:
     """Run one micro-benchmark and return its measurements.
 
-    ``streaming=True`` records measurements with fixed-memory P² samplers
-    (moments exact, percentiles estimated); the default keeps raw samples
-    for exact percentiles.  The simulation itself is bit-identical either
-    way — only the measurement sampler changes.
+    A lazy cohort of at least ``streaming_threshold`` clients is recorded
+    with fixed-memory P² samplers (moments exact, percentiles estimated);
+    every other run keeps raw samples for exact percentiles.
 
     ``shards`` (default: the ``REPRO_SHARDS`` environment variable)
     partitions the run into client/server kernel islands executed in
@@ -292,89 +275,21 @@ def run_micro(
     if requested > 1:
         from repro.shard.runtime import run_micro_sharded
 
-        sharded = run_micro_sharded(config, requested, streaming)
+        sharded = run_micro_sharded(config, requested)
         if sharded is not None:
             return sharded
-    calib = config.calibration
     env = Environment()
-    cpu = CPU(env, calib, name=f"{config.server}-cpu")
-    server = make_server(config.server, env, cpu, config)
-    policy = config.resilience if (
-        config.resilience is not None and config.resilience.enabled
-    ) else None
-    limits = config.limits
-    if policy is not None and policy.admission is not None:
-        limits = replace(limits or ServerLimits(), adaptive=policy.admission)
-    if limits is not None:
-        server.limits = limits
-    budget: Optional[RetryBudget] = None
-    deadline: Optional[float] = None
-    if policy is not None:
-        deadline = policy.deadline
-        if policy.retry_budget is not None:
-            budget = RetryBudget(policy.retry_budget)
-    link = Link.lan(calib, added_latency=config.added_latency)
-    cohort = config.cohort
-    lazy_cohort = cohort is not None and cohort.lazy_active()
-    if lazy_cohort and config.concurrency >= cohort.streaming_threshold:
-        # Bounded-heap measurement for bounded-heap populations.
-        streaming = True
-    recorder = RunRecorder(env, warmup=config.warmup, streaming=streaming)
-    recorder.watch_cpu(cpu)
-    mix = config.mix or FixedMix(config.response_size)
-    seeds = SeedStreams(config.seed)
-    injector: Optional[FaultInjector] = None
-    if config.fault_plan is not None and config.fault_plan.enabled:
-        injector = FaultInjector(env, config.fault_plan, seeds.fork("faults"))
-        injector.start_stalls(cpu)
-    population = build_population(
+    return run_system(
+        config,
         env,
-        server,
+        _MicroSystem(env, config),
         size=config.concurrency,
-        mix=mix,
-        link=link,
-        calibration=calib,
-        seeds=seeds,
-        recorder=recorder,
+        mix=config.mix or FixedMix(config.response_size),
+        link=Link.lan(config.calibration, added_latency=config.added_latency),
+        think=ExponentialThink(config.think_mean) if config.think_mean > 0 else None,
         options=ConnectionOptions(
             send_buffer_size=config.send_buffer_size, autotune=config.autotune
         ),
-        think=(
-            ExponentialThink(config.think_mean) if config.think_mean > 0 else None
-        ),
-        ramp_up=config.warmup * 0.8,
-        faults=injector,
-        retry=config.retry,
-        budget=budget,
-        deadline=deadline,
-        cohort=cohort,
-    )
-    sim_start = time.perf_counter()
-    env.run(until=config.duration)
-    sim_wall = time.perf_counter() - sim_start
-    client_stats: Dict[str, float] = {}
-    if (
-        injector is not None
-        or config.retry is not None
-        or policy is not None
-        or lazy_cohort
-    ):
-        client_stats = population.client_stat_totals()
-    resilience: Dict[str, float] = {}
-    if policy is not None:
-        if budget is not None:
-            resilience.update(budget.counters())
-        if server.limiter is not None:
-            resilience.update(server.limiter.counters())
-        resilience["requests_expired"] = float(server.stats.requests_expired)
-    return MicroResult(
-        config=config,
-        report=recorder.report(),
-        server_stats=server_counters(server),
-        client_stats=client_stats,
-        faults=injector.report() if injector is not None else None,
-        resilience=resilience,
-        cohort_stats=population.cohort_stats(),
-        kernel_events=env.events_processed,
-        sim_wall_s=sim_wall,
+        timeline_bucket=0.0,
+        result=RunResult,
     )

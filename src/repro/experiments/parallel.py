@@ -25,8 +25,9 @@ Cache keying
 A point's cache entry is keyed by the blake2b digest of:
 
 * the sweep coordinates: artifact id, runner name, measurement scale;
-* the shard count (``REPRO_SHARDS``): a sharded run's ``kernel_events``
-  counts every island's kernel, so it differs from the serial result;
+* the run inputs (:func:`~repro.sim.inputs.run_inputs`): the shard count
+  and the TCP path, the only environment reads that change a result
+  (both change ``kernel_events``);
 * the *full* point configuration (every ``MicroConfig``/``NTierConfig``
   field, including the request mix, the calibration constants and the
   derived seed);
@@ -47,10 +48,10 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, fields, is_dataclass, replace
 from pathlib import Path
-from typing import Callable, Dict, Mapping, Optional, Tuple
+from typing import Callable, Dict, Mapping, Optional
 
 from repro.errors import ExperimentError
-from repro.shard import resolve_shards
+from repro.sim.inputs import run_inputs
 from repro.sim.rng import derive_seed
 
 __all__ = [
@@ -426,7 +427,7 @@ class SweepExecutor:
                 self.artifact,
                 runner,
                 self.scale,
-                resolve_shards(),
+                run_inputs(),
                 point_digest(config),
             )).encode("utf-8"),
             digest_size=16,
@@ -487,9 +488,9 @@ def cached_call(fn: Callable[..., object], *args: object, label: str = "call") -
 
     ``fn`` must be a pure function of its (digest-stable, see
     :func:`point_digest`) arguments with a picklable return value; the
-    cache key covers the function's qualified name, the arguments, and
-    the package source digest.  With caching disabled this is a plain
-    call.
+    cache key covers the function's qualified name, the arguments, the
+    run inputs and the package source digest.  With caching disabled
+    this is a plain call.
     """
     root = cache_root()
     if root is None:
@@ -501,6 +502,7 @@ def cached_call(fn: Callable[..., object], *args: object, label: str = "call") -
             label,
             fn.__module__,
             fn.__qualname__,
+            run_inputs(),
             point_digest(args),
         )).encode("utf-8"),
         digest_size=16,

@@ -58,7 +58,6 @@ one-run bisection.
 
 from __future__ import annotations
 
-import os
 from collections import deque
 from heapq import heappush
 from typing import Callable, Deque, List, Optional
@@ -76,6 +75,7 @@ from repro.sim.core import (
     Event,
     ReusableEvent,
 )
+from repro.sim.inputs import run_inputs
 
 __all__ = ["Connection", "ResponseTransfer", "TCPStats", "fastpath_enabled"]
 
@@ -91,11 +91,12 @@ def fastpath_enabled() -> bool:
     """Global kill-switch for the flow-level fast path.
 
     ``REPRO_TCP_FASTPATH=0`` forces every new connection onto the
-    per-segment path; results are bit-identical either way, so flipping
+    per-segment path; reports are bit-identical either way, so flipping
     the switch bisects any future digest mismatch to this layer in one
-    run.  Read per connection so tests can monkeypatch the environment.
+    run.  Read per connection (:func:`~repro.sim.inputs.run_inputs`) so
+    tests can monkeypatch the environment.
     """
-    return os.environ.get("REPRO_TCP_FASTPATH", "1") != "0"
+    return run_inputs().tcp_fastpath
 
 
 class TCPStats:

@@ -245,7 +245,8 @@ def call_downstream(
     success and, on a replica, a balancer success with the measured
     latency (latency-aware outlier ejection feeds on it); any other status
     records a breaker and a balancer failure — except ``"cancelled"``,
-    which records nothing (the attempt was abandoned, not judged).
+    which records no outcome (the attempt was abandoned, not judged) and
+    only hands its breaker admission back.
     """
     replica = None if isinstance(routed, ConnectionPool) else routed
     pool = routed if replica is None else replica.pool
@@ -265,7 +266,10 @@ def call_downstream(
             breaker.record_success()
         if replica is not None:
             replica.balancer.on_success(replica, latency=server.env.now - started)
-    elif status != "cancelled":
+    elif status == "cancelled":
+        if breaker is not None:
+            breaker.release()
+    else:
         if breaker is not None:
             breaker.record_failure()
         if replica is not None:
@@ -362,15 +366,19 @@ class ProxyApplication(Application):
             # Primary is slow: hedge to a different replica, its breaker
             # and the budget willing.
             backup = self.target.balancer.pick(exclude=primary)
-            if backup is not None and _admits(backup.pool) and hedge.try_hedge():
-                backup_cancel = env.event()
-                backup_proc = env.process(
-                    on_worker_thread(server, f"hedge-{seq}-b", call_downstream,
-                                     backup, make_downstream, deadline,
-                                     backup_cancel),
-                    name=f"hedge-{seq}-backup",
-                )
-                attempts.append((backup_proc, backup_cancel))
+            if backup is not None and _admits(backup.pool):
+                if hedge.try_hedge():
+                    backup_cancel = env.event()
+                    backup_proc = env.process(
+                        on_worker_thread(server, f"hedge-{seq}-b", call_downstream,
+                                         backup, make_downstream, deadline,
+                                         backup_cancel),
+                        name=f"hedge-{seq}-backup",
+                    )
+                    attempts.append((backup_proc, backup_cancel))
+                elif backup.pool.breaker is not None:
+                    # The budget said no after the breaker said yes.
+                    backup.pool.breaker.release()
 
         while True:
             winner = next((proc for proc, _ in attempts

@@ -10,8 +10,8 @@ whose system-wide effect Figure 1 measures.
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
+import random
+from dataclasses import dataclass
 from typing import Dict, Optional
 
 from repro.cache import CacheConfig, CacheTier
@@ -19,26 +19,36 @@ from repro.calibration import Calibration, DEFAULT_CALIBRATION
 from repro.cpu.scheduler import CPU
 from repro.dag.config import DagConfig
 from repro.errors import ExperimentError
-from repro.faults import FaultInjector, FaultPlan, FaultReport
-from repro.metrics.collector import RunRecorder, RunReport
+from repro.faults import FaultPlan
 from repro.net.link import Link
 from repro.ntier.applications import ProxyApplication, QueryApplication, ServletApplication
 from repro.ntier.pool import ConnectionPool
 from repro.replica import Replica, ReplicaConfig, ReplicaGroup
-from repro.resilience import CircuitBreaker, HedgePolicy, ResiliencePolicy, RetryBudget
+from repro.resilience import CircuitBreaker, HedgePolicy, ResiliencePolicy
 from repro.servers.base import BaseServer, ServerLimits
 from repro.servers.threaded import ThreadedServer
 from repro.shard import resolve_shards
 from repro.servers.tomcat import TomcatAsyncServer, TomcatSyncServer
 from repro.sim.core import Environment
-from repro.sim.rng import SeedStreams
+from repro.sim.rng import derive_seed
 from repro.cohort import CohortConfig
 from repro.workload.client import ExponentialThink, RetryPolicy
+from repro.workload.harness import RunResult, run_system
 from repro.workload.mixes import RequestMix
-from repro.workload.population import build_population
+from repro.workload.population import ConnectionOptions
 from repro.workload.rubbos import RubbosMix
 
-__all__ = ["NTierConfig", "ThreeTierSystem", "NTierResult", "run_ntier"]
+__all__ = [
+    "NTierConfig", "ThreeTierSystem", "NTierResult", "run_ntier",
+    "POOL_SIZE", "TOMCAT_WORKERS",
+]
+
+#: Connections in every inter-tier pool (Apache→Tomcat and Tomcat→MySQL).
+#: The Apache→Tomcat pool bounds Tomcat's concurrency, as the paper's
+#: ~35-40 at saturation shows.
+POOL_SIZE = 40
+#: Worker threads of the asynchronous (Tomcat 8) connector's executor.
+TOMCAT_WORKERS = 32
 
 
 @dataclass(frozen=True)
@@ -52,9 +62,6 @@ class NTierConfig:
     think_mean: float = 7.0
     duration: float = 22.0
     warmup: float = 12.0
-    apache_tomcat_pool: int = 40
-    tomcat_db_pool: int = 40
-    tomcat_workers: int = 32
     inter_tier_latency: float = 100.0e-6
     #: Extra one-way latency on the client↔Apache link (0 keeps the
     #: historical bare-LAN link, bit-identically).  A WAN-ish client
@@ -135,8 +142,8 @@ class ThreeTierSystem:
 
     The chain build and the DAG build answer the run's queries — tier
     CPUs and servers, pools, limiters, caches, crash targets — through
-    the same methods, so the runner and the shard islands read results
-    one way for every topology.
+    the same methods, so :func:`~repro.workload.harness.run_system` and
+    the shard islands drive and read every topology one way.
     """
 
     def __init__(self, env: Environment, config: NTierConfig):
@@ -152,6 +159,10 @@ class ThreeTierSystem:
         self.replica_group: Optional[ReplicaGroup] = None
         #: The live DAG (``None`` unless the run carries a :class:`DagConfig`).
         self.dag_system = None
+        #: Apache's hedging policy (set by :meth:`start` when the run
+        #: hedges across a replica group).
+        self.hedge: Optional[HedgePolicy] = None
+        self._usage: Optional[TierUsage] = None
         if config.dag is not None:
             self._build_dag(env, config)
         else:
@@ -229,7 +240,7 @@ class ThreeTierSystem:
             db_pool = ConnectionPool(
                 env,
                 self.db_server,
-                config.tomcat_db_pool,
+                POOL_SIZE,
                 tier_link,
                 calib,
                 breaker=breaker(f"{name}-mysql"),
@@ -240,7 +251,7 @@ class ThreeTierSystem:
             pool = ConnectionPool(
                 env,
                 server,
-                config.apache_tomcat_pool,
+                POOL_SIZE,
                 tier_link,
                 calib,
                 breaker=breaker(f"apache-{name}"),
@@ -328,18 +339,64 @@ class ThreeTierSystem:
             return self.dag_system.fault_targets()
         return list(self.tomcats.values())
 
-    def dag_counters(self) -> Dict[str, float]:
-        """The DAG's counters (empty for the chain)."""
-        if self.dag_system is None:
-            return {}
-        return self.dag_system.counters()
-
-    def start_probes(self) -> None:
-        """Start active health probing of every replica group."""
+    def start(self, policy: Optional[ResiliencePolicy], budget, mix: RequestMix) -> None:
+        """Arm the system before the clients: Apache's hedging (a
+        replica group under a hedging ``policy``), health probes and the
+        cache prewarm from ``mix``."""
+        if (
+            policy is not None
+            and policy.hedge is not None
+            and self.replica_group is not None
+        ):
+            # Hedges spend tokens from the same bucket retries do, so the
+            # combined amplification stays inside one budget.
+            self.hedge = HedgePolicy(policy.hedge, budget)
+            self.web_server.app.hedge = self.hedge
         if self.replica_group is not None:
             self.replica_group.start_probes()
         if self.dag_system is not None:
             self.dag_system.start_probes()
+        if self.config.cache is not None and self.config.cache.prewarm:
+            for tier in self.cache_tiers():
+                tier.prewarm_from_mix(mix)
+
+    def watch(self) -> None:
+        """Start the per-tier CPU accounting :meth:`finish` reports."""
+        self._usage = TierUsage(self.env, self.cpu_by_tier(), self.config.warmup)
+
+    def resilience_counters(self) -> Dict[str, float]:
+        """Breaker counters of every pool, summed admission-limiter
+        counters and the pools' evictions."""
+        counters: Dict[str, float] = {}
+        pools = self.pools()
+        for pool in pools:
+            if pool.breaker is not None:
+                counters.update(pool.breaker.counters())
+        counters.update(summed_counters(self.limiters()))
+        counters["pool_evictions"] = float(sum(p.evictions for p in pools))
+        return counters
+
+    def finish(self, reported: bool) -> Dict[str, object]:
+        """This system's :class:`NTierResult` fields after a run.
+
+        Per-tier server counters are filled only when ``reported``, the
+        run harness's rule for ``client_stats``.
+        """
+        utilization, switch_rate = self._usage.measure()
+        replica_stats: Dict[str, float] = {}
+        if self.replica_group is not None:
+            replica_stats = self.replica_group.counters()
+            if self.hedge is not None:
+                replica_stats.update(self.hedge.counters())
+        return {
+            "tier_utilization": utilization,
+            "tier_switch_rate": switch_rate,
+            "tomcat_peak_concurrency": self.peak_concurrency(),
+            "server_stats": tier_server_stats(self.server_tiers()) if reported else {},
+            "cache_stats": summed_counters(self.cache_tiers()),
+            "replica_stats": replica_stats,
+            "dag_stats": self.dag_system.counters() if self.dag_system is not None else {},
+        }
 
 
 def build_tomcat(
@@ -353,22 +410,23 @@ def build_tomcat(
     """One Tomcat server called ``name`` over ``db_pool``, plus its cache.
 
     Returns ``(server, cache tier or None)``.  The cache draws keys from
-    the run's ``cache`` seed stream ``cache_key``, and exists only when
-    the run configures one — otherwise no object, no RNG stream, no
+    stream ``cache_key`` of the run's ``cache`` seed fork, and exists only
+    when the run configures one — otherwise no object, no RNG stream, no
     event.  Shared by the chain builder and the shard Tomcat island.
     """
     cache = None
     if config.cache is not None:
-        seeds = SeedStreams(config.seed).fork("cache")
+        fork = derive_seed(config.seed, "fork", "cache")
         cache = CacheTier(
-            env, config.cache, seeds.stream(*cache_key), config.calibration
+            env, config.cache, random.Random(derive_seed(fork, *cache_key)),
+            config.calibration,
         )
     app = ServletApplication(db_pool, cache=cache)
     if config.tomcat_variant == "sync":
         server: BaseServer = TomcatSyncServer(env, cpu, app=app, name=f"{name}-v7")
     else:
         server = TomcatAsyncServer(
-            env, cpu, app=app, name=f"{name}-v8", workers=config.tomcat_workers
+            env, cpu, app=app, name=f"{name}-v8", workers=TOMCAT_WORKERS
         )
     policy = config.resilience
     if policy is not None and policy.admission is not None:
@@ -384,7 +442,8 @@ class TierUsage:
 
     Snapshots every tier CPU when constructed and again at the warm-up
     boundary (a ``warmup-marker`` process), then measures from there.
-    :func:`run_ntier` and the shard islands watch their tiers this way.
+    :meth:`ThreeTierSystem.watch` and the shard islands watch their tiers
+    this way.
     """
 
     def __init__(self, env: Environment, cpus: Dict[str, CPU], warmup: float):
@@ -433,70 +492,29 @@ def summed_counters(sources) -> Dict[str, float]:
 
 
 @dataclass(frozen=True)
-class NTierResult:
+class NTierResult(RunResult):
     """Measurements of one 3-tier run."""
 
-    config: NTierConfig
-    report: RunReport
-    #: Tier name → CPU utilisation in [0, 1] over the window.
-    tier_utilization: Dict[str, float] = field(default_factory=dict)
-    #: Tier name → context switches per second.
-    tier_switch_rate: Dict[str, float] = field(default_factory=dict)
     #: Peak concurrent requests observed at the Tomcat tier.
     tomcat_peak_concurrency: int = 0
-    #: Simulation events processed by the kernel during this run (a pure
-    #: function of the config, so it participates in equality).
-    kernel_events: int = 0
-    #: Aggregated client resilience counters (populated for chaos/retry/
-    #: resilience runs; empty for clean runs so old results compare equal).
-    client_stats: Dict[str, float] = field(default_factory=dict)
-    #: Per-tier shed/expired/aborted counters (same population rule).
-    server_stats: Dict[str, float] = field(default_factory=dict)
-    #: Resilience-machinery counters: retry budget, breakers, admission
-    #: limiter, pool evictions (empty unless a policy was configured).
-    resilience: Dict[str, float] = field(default_factory=dict)
-    #: Cache-tier counters (hits, fetches, coalesced flights; empty
-    #: unless a cache tier actually ran, so cacheless results compare
-    #: equal to historical ones).
-    cache_stats: Dict[str, float] = field(default_factory=dict)
-    #: Replica-group counters: balancer picks/ejections, health probes,
-    #: crashes, hedging (empty unless a replica group actually ran, same
-    #: population rule as ``cache_stats``).
-    replica_stats: Dict[str, float] = field(default_factory=dict)
-    #: Aggregate-cohort counters (empty unless a lazy cohort ran, same
-    #: population rule as ``cache_stats``).
-    cohort_stats: Dict[str, float] = field(default_factory=dict)
-    #: DAG counters: requests/degraded accounting, per-edge branch
-    #: outcomes, per-node replica-group counters (empty unless a DAG
-    #: actually ran, same population rule as ``cache_stats``).
-    dag_stats: Dict[str, float] = field(default_factory=dict)
-    #: Fault-injection report (``None`` for clean runs).
-    faults: Optional[FaultReport] = None
-    #: Successful completions per ``timeline_bucket`` of absolute sim
-    #: time (empty when the config leaves the timeline off).
-    goodput_timeline: "tuple" = ()
-    #: Host wall-clock seconds spent inside ``env.run``.  Wall clock is
-    #: not deterministic, so it is excluded from equality.
-    sim_wall_s: float = field(default=0.0, compare=False)
-    #: Per-shard kernel accounting (tuple of
-    #: :class:`repro.shard.ShardStats`); empty for serial runs.  Event
-    #: counts differ from the serial kernel's (cut-edge bookkeeping), and
-    #: stall times are wall clock, so the whole breakdown is excluded
-    #: from equality.
-    shard_events: "tuple" = field(default=(), compare=False)
-
-    @property
-    def throughput(self) -> float:
-        return self.report.throughput
-
-    @property
-    def response_time(self) -> float:
-        return self.report.response_time_mean
 
     @property
     def bottleneck_tier(self) -> str:
         """Tier with the highest CPU utilisation."""
         return max(self.tier_utilization, key=self.tier_utilization.get)
+
+    def goodput_rate(self, start: float, end: float) -> float:
+        """Mean goodput (successes/second) over [start, end) sim time.
+
+        Reads the goodput timeline in whole buckets of the config's
+        ``timeline_bucket``; a bucket past the recorded timeline counts
+        zero successes, since the recorder only extends the timeline when
+        a success completes.
+        """
+        bucket = self.config.timeline_bucket
+        lo, hi = int(start / bucket), int(end / bucket)
+        span = (hi - lo) * bucket
+        return sum(self.goodput_timeline[lo:hi]) / span if span > 0 else 0.0
 
 
 def run_ntier(config: NTierConfig, shards: Optional[int] = None) -> NTierResult:
@@ -517,122 +535,15 @@ def run_ntier(config: NTierConfig, shards: Optional[int] = None) -> NTierResult:
         if sharded is not None:
             return sharded
     env = Environment()
-    system = ThreeTierSystem(env, config)
-    calib = config.calibration
-    lazy_cohort = config.cohort is not None and config.cohort.lazy_active()
-    recorder = RunRecorder(
+    return run_system(
+        config,
         env,
-        warmup=config.warmup,
-        streaming=lazy_cohort and config.users >= config.cohort.streaming_threshold,
-        timeline_bucket=config.timeline_bucket,
-    )
-    recorder.watch_cpu(system.app_cpu)
-
-    seeds = SeedStreams(config.seed)
-    injector: Optional[FaultInjector] = None
-    if config.fault_plan is not None and config.fault_plan.enabled:
-        injector = FaultInjector(env, config.fault_plan, seeds.fork("faults"))
-        # Stall windows seize the Tomcat tier's cores: the mid-tier
-        # slowdown that triggers the metastable-failure scenario.
-        injector.start_stalls(system.app_cpu)
-        if config.fault_plan.crash_windows:
-            # Crash windows kill Tomcat instances (any slice of the chain).
-            injector.start_crashes(system.crash_targets())
-        if config.fault_plan.degrade_windows:
-            # Gray-failure windows target the same instance index space.
-            injector.start_degrades(system.crash_targets())
-    policy = config.resilience if (
-        config.resilience is not None and config.resilience.enabled
-    ) else None
-    budget: Optional[RetryBudget] = None
-    deadline: Optional[float] = None
-    if policy is not None:
-        deadline = policy.deadline
-        if policy.retry_budget is not None:
-            budget = RetryBudget(policy.retry_budget)
-    hedge_policy: Optional[HedgePolicy] = None
-    if (
-        policy is not None
-        and policy.hedge is not None
-        and system.replica_group is not None
-    ):
-        # Hedges spend tokens from the same bucket retries do, so the
-        # combined amplification stays inside one budget.
-        hedge_policy = HedgePolicy(policy.hedge, budget)
-        system.web_server.app.hedge = hedge_policy
-    system.start_probes()
-
-    mix = config.mix if config.mix is not None else RubbosMix()
-    if config.cache is not None and config.cache.prewarm:
-        for tier in system.cache_tiers():
-            tier.prewarm_from_mix(mix)
-
-    client_link = Link.lan(calib, added_latency=config.client_latency)
-    population = build_population(
-        env,
-        system.front_server,
+        ThreeTierSystem(env, config),
         size=config.users,
-        mix=mix,
-        link=client_link,
-        calibration=calib,
-        seeds=seeds,
-        recorder=recorder,
+        mix=config.mix if config.mix is not None else RubbosMix(),
+        link=Link.lan(config.calibration, added_latency=config.client_latency),
         think=ExponentialThink(config.think_mean),
-        ramp_up=config.warmup * 0.8,
-        faults=injector,
-        retry=config.retry,
-        budget=budget,
-        deadline=deadline,
-        cohort=config.cohort,
-    )
-
-    tiers = TierUsage(env, system.cpu_by_tier(), config.warmup)
-    sim_start = time.perf_counter()
-    env.run(until=config.duration)
-    sim_wall = time.perf_counter() - sim_start
-    utilization, switch_rate = tiers.measure()
-
-    client_stats: Dict[str, float] = {}
-    server_stats: Dict[str, float] = {}
-    if (
-        injector is not None
-        or config.retry is not None
-        or policy is not None
-        or lazy_cohort
-    ):
-        client_stats = population.client_stat_totals()
-        server_stats = tier_server_stats(system.server_tiers())
-    resilience: Dict[str, float] = {}
-    if policy is not None:
-        if budget is not None:
-            resilience.update(budget.counters())
-        pools = system.pools()
-        for pool in pools:
-            if pool.breaker is not None:
-                resilience.update(pool.breaker.counters())
-        resilience.update(summed_counters(system.limiters()))
-        resilience["pool_evictions"] = float(sum(p.evictions for p in pools))
-    replica_stats: Dict[str, float] = {}
-    if system.replica_group is not None:
-        replica_stats = system.replica_group.counters()
-        if hedge_policy is not None:
-            replica_stats.update(hedge_policy.counters())
-
-    return NTierResult(
-        config=config,
-        report=recorder.report(),
-        tier_utilization=utilization,
-        tier_switch_rate=switch_rate,
-        tomcat_peak_concurrency=system.peak_concurrency(),
-        kernel_events=env.events_processed,
-        client_stats=client_stats,
-        server_stats=server_stats,
-        resilience=resilience,
-        cache_stats=summed_counters(system.cache_tiers()),
-        replica_stats=replica_stats,
-        cohort_stats=population.cohort_stats(),
-        dag_stats=system.dag_counters(),
-        faults=injector.report() if injector is not None else None,
-        goodput_timeline=recorder.timeline(),
-        sim_wall_s=sim_wall,
+        options=ConnectionOptions(),
+        timeline_bucket=config.timeline_bucket,
+        result=NTierResult,
     )

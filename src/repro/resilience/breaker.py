@@ -2,7 +2,8 @@
 
 Callers consult :meth:`CircuitBreaker.allow` *before* touching the
 downstream connection pool and report every call outcome back via
-:meth:`record_success` / :meth:`record_failure`.  While open, the caller
+:meth:`record_success` / :meth:`record_failure`, or hand an admission
+that was never judged back via :meth:`release`.  While open, the caller
 fast-fails — a tiny rejection instead of pinning a worker thread on a
 sick tier.  All transitions are driven by simulation time and a bounded
 deque of outcomes: no RNG, no timers, no extra events.
@@ -88,6 +89,18 @@ class CircuitBreaker:
             return
         if self._state == CLOSED:
             self._window.append(0)
+
+    def release(self) -> None:
+        """Give back an admission whose call was never judged.
+
+        A cancelled attempt (a hedge loser, a fan-in cut) or an admitted
+        call that never went out reports neither success nor failure.  In
+        half-open it would otherwise hold its probe slot for good; here
+        it frees one (never below zero).  In any other state admissions
+        hold nothing, so this does nothing.
+        """
+        if self._state == HALF_OPEN:
+            self._probes_inflight = max(0, self._probes_inflight - 1)
 
     def record_failure(self) -> None:
         """A downstream call failed, expired, or timed out."""

@@ -33,10 +33,9 @@ fall back to the serial kernel — correctness first, speed second.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
-from repro.errors import ExperimentError
+from repro.sim.inputs import parse_shards, run_inputs
 
 __all__ = ["ShardStats", "resolve_shards"]
 
@@ -45,20 +44,13 @@ def resolve_shards(explicit=None) -> int:
     """Number of shards a run should use.
 
     An explicit runner/CLI argument wins; otherwise the ``REPRO_SHARDS``
-    environment variable; otherwise 1 (serial).  Raises
-    :class:`ExperimentError` on anything but a positive integer.
+    environment variable (:func:`~repro.sim.inputs.run_inputs`);
+    otherwise 1 (serial).  Raises :class:`ExperimentError` on anything
+    but a positive integer.
     """
     if explicit is None:
-        explicit = os.environ.get("REPRO_SHARDS", "").strip() or 1
-    try:
-        shards = int(explicit)
-    except ValueError:
-        raise ExperimentError(
-            f"shards must be a positive integer, got {explicit!r}"
-        ) from None
-    if shards < 1:
-        raise ExperimentError(f"shards must be >= 1, got {shards}")
-    return shards
+        return run_inputs().shards
+    return parse_shards(explicit)
 
 
 @dataclass(frozen=True)

@@ -4,9 +4,9 @@ Each builder reproduces the serial runner's construction *subsequence*
 for its island — same statements, same relative order — because
 construction order draws connection ids, forks RNG streams and schedules
 build-time events, and same-time events process in insertion order.
-Comments of the form "serial: ..." anchor each block to the line of
-:func:`repro.experiments.micro.run_micro` /
-:func:`repro.ntier.topology.run_ntier` it mirrors.
+Comments of the form "serial: ..." anchor each block to the step of
+:func:`repro.workload.harness.run_system` (or of the system a runner
+hands it) that it mirrors.
 
 A builder returns ``(island, finish)`` where ``finish()`` — called after
 the epilogue ``run(until=duration)`` — computes exactly the result
@@ -67,7 +67,7 @@ class _CpuWatch:
 # Micro: [clients | server]
 # ----------------------------------------------------------------------
 
-def build_micro_client(config, streaming: bool):
+def build_micro_client(config):
     """Client island: the population half of a micro run."""
     from repro.experiments.micro import run_micro  # noqa: F401  (doc anchor)
     from repro.metrics.collector import RunRecorder
@@ -86,9 +86,11 @@ def build_micro_client(config, streaming: bool):
     link = Link.lan(calib, added_latency=config.added_latency)
     cohort = config.cohort
     lazy_cohort = cohort is not None and cohort.lazy_active()
-    if lazy_cohort and config.concurrency >= cohort.streaming_threshold:
-        streaming = True
-    recorder = RunRecorder(env, warmup=config.warmup, streaming=streaming)
+    recorder = RunRecorder(
+        env,
+        warmup=config.warmup,
+        streaming=lazy_cohort and config.concurrency >= cohort.streaming_threshold,
+    )
     mix = config.mix or FixedMix(config.response_size)
     seeds = SeedStreams(config.seed)
     # Classic populations (and eager cohort bundles) connect at build
@@ -168,8 +170,8 @@ def _ntier_lazy_cohort(config) -> bool:
 
 
 def _tier_fragments(env, config, cpus, server_tiers):
-    """Watch this island's tiers as ``run_ntier`` does; returns the
-    finish-time fragment maker.
+    """Watch this island's tiers as :meth:`ThreeTierSystem.watch` does;
+    returns the finish-time fragment maker.
 
     Per-tier server counters are reported only for a lazy cohort: the
     partitioner sends no run with faults, retries or resilience here,
@@ -238,7 +240,7 @@ def build_ntier_client(config):
             "report": recorder.report(),
             "client_stats": client_stats,
             "cohort_stats": population.cohort_stats(),
-            "timeline": recorder.timeline(),
+            "goodput_timeline": recorder.timeline(),
         }
 
     return island, finish
@@ -257,7 +259,7 @@ def _serve_client_cut(island, config, front_server, calib) -> None:
 
 def build_ntier_backend(config):
     """2-way partition: the whole server side, built verbatim."""
-    from repro.ntier.topology import ThreeTierSystem, summed_counters
+    from repro.ntier.topology import ThreeTierSystem
     from repro.sim.core import Environment
     from repro.workload.rubbos import RubbosMix
 
@@ -267,23 +269,14 @@ def build_ntier_backend(config):
     system = ThreeTierSystem(env, config)
     # serial: recorder.watch_cpu(system.app_cpu)
     watch = _CpuWatch(env, system.app_cpu, config.warmup)
-    # serial: probe starters (replica excluded by the partitioner).
-    system.start_probes()
-    mix = config.mix if config.mix is not None else RubbosMix()
-    if config.cache is not None and config.cache.prewarm:
-        for tier in system.cache_tiers():
-            tier.prewarm_from_mix(mix)
+    # serial: system.start — no policy reaches a sharded run.
+    system.start(None, None, config.mix if config.mix is not None else RubbosMix())
     _serve_client_cut(island, config, system.front_server, calib)
-    tier_fragments = _tier_fragments(
-        env, config, system.cpu_by_tier(), system.server_tiers()
-    )
+    system.watch()
 
     def finish():
         return {
-            **tier_fragments(),
-            "cache_stats": summed_counters(system.cache_tiers()),
-            "dag_stats": system.dag_counters(),
-            "tomcat_peak": system.peak_concurrency(),
+            **system.finish(_ntier_lazy_cohort(config)),
             "report_cpu": watch.usage(),
         }
 
@@ -294,6 +287,7 @@ def build_ntier_apache(config, index: int):
     """Apache island: the web tier of a 3+-way partition."""
     from repro.ntier.applications import ProxyApplication
     from repro.ntier.pool import ConnectionPool
+    from repro.ntier.topology import POOL_SIZE
     from repro.servers.threaded import ThreadedServer
     from repro.sim.core import Environment
 
@@ -308,7 +302,7 @@ def build_ntier_apache(config, index: int):
     apache_tomcat_pool = ConnectionPool(
         env,
         None,
-        config.apache_tomcat_pool,
+        POOL_SIZE,
         tier_link,
         calib,
         connect=lambda i: island.make_stub(1, tier_link, announce=False),
@@ -322,7 +316,10 @@ def build_ntier_apache(config, index: int):
     )
 
     def finish():
-        return {**tier_fragments(), "tomcat_peak": apache_tomcat_pool.peak_in_use}
+        return {
+            **tier_fragments(),
+            "tomcat_peak_concurrency": apache_tomcat_pool.peak_in_use,
+        }
 
     return island, finish
 
@@ -331,7 +328,7 @@ def build_ntier_tomcat(config, index: int, include_db: bool):
     """Tomcat island (optionally bundling mysql when *include_db*)."""
     from repro.ntier.applications import QueryApplication
     from repro.ntier.pool import ConnectionPool
-    from repro.ntier.topology import build_tomcat
+    from repro.ntier.topology import POOL_SIZE, build_tomcat
     from repro.servers.threaded import ThreadedServer
     from repro.sim.core import Environment
     from repro.workload.rubbos import RubbosMix
@@ -350,13 +347,13 @@ def build_ntier_tomcat(config, index: int, include_db: bool):
             env, db_cpu, app=QueryApplication(), name="mysql"
         )
         tomcat_db_pool = ConnectionPool(
-            env, db_server, config.tomcat_db_pool, tier_link, calib
+            env, db_server, POOL_SIZE, tier_link, calib
         )
     else:
         tomcat_db_pool = ConnectionPool(
             env,
             None,
-            config.tomcat_db_pool,
+            POOL_SIZE,
             tier_link,
             calib,
             connect=lambda i: island.make_stub(2, tier_link, announce=False),
@@ -366,7 +363,7 @@ def build_ntier_tomcat(config, index: int, include_db: bool):
     )
     # serial: the apache_tomcat_pool's connections attach here.
     island.serve_cut(1, app_server, tier_link, calib)
-    island.attach_edges(1, config.apache_tomcat_pool)
+    island.attach_edges(1, POOL_SIZE)
     # serial: recorder.watch_cpu(system.app_cpu) / cache prewarm.
     watch = _CpuWatch(env, app_cpu, config.warmup)
     if cache_tier is not None and config.cache.prewarm:
@@ -392,6 +389,7 @@ def build_ntier_tomcat(config, index: int, include_db: bool):
 def build_ntier_mysql(config, index: int):
     """MySQL island: the db tier of a 4-way partition."""
     from repro.ntier.applications import QueryApplication
+    from repro.ntier.topology import POOL_SIZE
     from repro.servers.threaded import ThreadedServer
     from repro.sim.core import Environment
 
@@ -403,7 +401,7 @@ def build_ntier_mysql(config, index: int):
     db_server = ThreadedServer(env, db_cpu, app=QueryApplication(), name="mysql")
     # serial: the tomcat_db_pool's connections attach here.
     island.serve_cut(2, db_server, tier_link, calib)
-    island.attach_edges(2, config.tomcat_db_pool)
+    island.attach_edges(2, POOL_SIZE)
     return island, _tier_fragments(
         env, config, {"mysql": db_cpu}, [("mysql", [db_server])]
     )

@@ -41,11 +41,10 @@ import multiprocessing
 import time
 import traceback
 from functools import partial
-from typing import Optional
 
 from repro.errors import SimulationError
 from repro.shard import ShardStats
-from repro.shard.merge import merge_micro, merge_ntier
+from repro.shard.merge import merge
 from repro.shard.partition import micro_islands, ntier_islands
 
 __all__ = ["run_micro_sharded", "run_ntier_sharded"]
@@ -187,10 +186,11 @@ def _run_islands(hub_build, worker_builds, cuts, duration: float, lookahead: flo
             proc.join(timeout=5.0)
 
 
-def run_micro_sharded(config, shards: int, streaming: bool = False):
+def run_micro_sharded(config, shards: int):
     """Sharded :func:`~repro.experiments.micro.run_micro`, or ``None``
     when this configuration must run serial."""
     from repro.shard.islands import build_micro_client, build_micro_server
+    from repro.workload.harness import RunResult
 
     islands = micro_islands(config, shards)
     if islands < 2:
@@ -200,7 +200,7 @@ def run_micro_sharded(config, shards: int, streaming: bool = False):
     if lookahead <= 0.0:
         return None
     out = _run_islands(
-        partial(build_micro_client, config, streaming),
+        partial(build_micro_client, config),
         [partial(build_micro_server, config)],
         {0: (0, 1)},
         config.duration,
@@ -208,8 +208,7 @@ def run_micro_sharded(config, shards: int, streaming: bool = False):
     )
     if out is None:
         return None
-    payloads, stats, wall = out
-    return merge_micro(config, payloads, stats, wall)
+    return merge(config, *out, RunResult)
 
 
 def run_ntier_sharded(config, shards: int):
@@ -222,6 +221,7 @@ def run_ntier_sharded(config, shards: int):
         build_ntier_mysql,
         build_ntier_tomcat,
     )
+    from repro.ntier.topology import NTierResult
 
     islands = ntier_islands(config, shards)
     if islands < 2:
@@ -259,5 +259,4 @@ def run_ntier_sharded(config, shards: int):
     )
     if out is None:
         return None
-    payloads, stats, wall = out
-    return merge_ntier(config, payloads, stats, wall)
+    return merge(config, *out, NTierResult)

@@ -119,7 +119,6 @@ def build_population(
     budget=None,
     deadline: Optional[float] = None,
     cohort: Optional[CohortConfig] = None,
-    lazy_rampup: bool = False,
     connect=None,
 ) -> "Union[Population, CohortPopulation]":
     """Create ``size`` closed-loop clients against ``server``.
@@ -143,11 +142,7 @@ def build_population(
     ``cohort`` selects the aggregate engine: with ``materialize="lazy"``
     a :class:`CohortPopulation` is returned instead of N live clients;
     ``materialize="always"`` falls back to the classic builder here, so
-    the same scenario runs on either machinery.  ``lazy_rampup`` makes the
-    classic builder spawn each client from the previous one's start event
-    (one pending start timer at any moment) instead of pre-scheduling N
-    start events; it is opt-in because deferring construction is visible
-    to the server and would perturb historical digests.
+    the same scenario runs on either machinery.
 
     ``connect`` overrides the connection factory (``connect(index)`` →
     connection-like object): the sharded kernel supplies one returning a
@@ -243,19 +238,6 @@ def build_population(
         population.clients.append(client)
         population.connections.append(connection)
 
-    if lazy_rampup and ramp_up > 0 and size > 1:
-        step = ramp_up / size
-
-        def _starter():
-            # Each client's construction is chained off the previous
-            # one's start: exactly one pending start timer at any time.
-            for index in range(size):
-                if index:
-                    yield env.timeout(step)
-                _spawn(index, 0.0)
-
-        env.process(_starter(), name="population-starter")
-    else:
-        for index in range(size):
-            _spawn(index, (ramp_up * index / size) if ramp_up > 0 else 0.0)
+    for index in range(size):
+        _spawn(index, (ramp_up * index / size) if ramp_up > 0 else 0.0)
     return population

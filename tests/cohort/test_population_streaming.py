@@ -1,12 +1,8 @@
-"""Streaming population counters and the lazy ramp-up chain."""
+"""Streaming population counters."""
 
 import pytest
 
-from repro.calibration import default_calibration
-from repro.cpu.scheduler import CPU
-from repro.net.link import Link
 from repro.servers.threaded import ThreadedServer
-from repro.sim.core import Environment
 from repro.sim.rng import SeedStreams
 from repro.workload.mixes import FixedMix
 from repro.workload.population import PopulationCounters, build_population
@@ -44,30 +40,3 @@ def test_client_stat_totals_single_pass(env, cpu, lan, calib):
     assert totals["successes"] == sum(c.stats.successes for c in population.clients)
     assert totals["attempts"] == sum(c.stats.attempts for c in population.clients)
     assert population.cohort_stats() == {}
-
-
-def test_lazy_rampup_chains_construction(env, cpu, lan, calib):
-    population = _build(
-        env, cpu, lan, calib, size=8, ramp_up=0.4, lazy_rampup=True
-    )
-    # Nothing is built until the sim runs; clients appear one per step.
-    assert population.clients == []
-    env.run(until=0.26)
-    assert 0 < len(population.clients) < 8
-    env.run(until=0.45)
-    assert len(population.clients) == 8
-    assert all(c.initial_delay == 0.0 for c in population.clients)
-
-
-def test_lazy_rampup_deterministic():
-    def _completed():
-        env = Environment()
-        calib = default_calibration()
-        population = _build(
-            env, CPU(env, calib), Link.lan(calib), calib,
-            size=8, ramp_up=0.2, lazy_rampup=True,
-        )
-        env.run(until=0.6)
-        return population.completed_requests, env.events_processed
-
-    assert _completed() == _completed()

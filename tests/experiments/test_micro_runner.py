@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import ExperimentError
+from repro.errors import ExperimentError, SimulationError
 from repro.experiments.micro import (
     MicroConfig,
     SERVER_FACTORIES,
@@ -11,6 +11,7 @@ from repro.experiments.micro import (
     suggest_timing,
 )
 from repro.experiments.registry import EXPERIMENTS, bench_scale, get_experiment
+from repro.faults import CrashWindow, DegradeWindow, FaultPlan
 from repro.workload.mixes import BimodalMix
 
 
@@ -46,6 +47,22 @@ def test_every_registered_server_runs(server):
     assert result.report.completed > 0
 
 
+@pytest.mark.parametrize(
+    "plan",
+    [
+        FaultPlan(crash_windows=(CrashWindow(start=0.1, end=0.39),)),
+        FaultPlan(degrade_windows=(DegradeWindow(start=0.1, end=0.39, share=0.9),)),
+    ],
+    ids=["crash", "degrade"],
+)
+def test_crash_and_degrade_windows_are_rejected(plan):
+    """One server has no instance a crash or degrade window can take
+    down, so such a plan fails before the run instead of running as if
+    it were empty."""
+    with pytest.raises(SimulationError, match="only 0"):
+        run_micro(quick("sTomcat-Async", concurrency=8, fault_plan=plan))
+
+
 def test_same_seed_same_result():
     a = run_micro(quick("SingleT-Async", seed=5))
     b = run_micro(quick("SingleT-Async", seed=5))
@@ -76,7 +93,6 @@ def test_suggest_timing_scales_with_concurrency():
 def test_workers_default_capped():
     assert MicroConfig(server="x", concurrency=1000).workers == 16
     assert MicroConfig(server="x", concurrency=4).workers == 4
-    assert MicroConfig(server="x", concurrency=1000, workers_override=3).workers == 3
     assert MicroConfig(server="x", concurrency=1000).tomcat_workers == 32
 
 

@@ -246,6 +246,25 @@ def test_sharded_results_are_not_served_to_serial_runs(tmp_path, monkeypatch):
     assert result == run_ntier(config)
 
 
+def test_segment_path_results_are_not_served_to_fast_path_runs(tmp_path, monkeypatch):
+    """The per-segment TCP path processes more kernel events than the
+    fast path, and ``kernel_events`` takes part in result equality, so
+    the TCP path is part of the memo key: a ``REPRO_TCP_FASTPATH=0``
+    entry must not answer a later fast-path call."""
+    monkeypatch.setenv(parallel.CACHE_DIR_ENV, str(tmp_path))
+    monkeypatch.delenv("REPRO_SHARDS", raising=False)
+    config = _tiny(
+        concurrency=20, response_size=100 * 1024, added_latency=0.002,
+        duration=0.3, warmup=0.1,
+    )
+    monkeypatch.setenv("REPRO_TCP_FASTPATH", "0")
+    segment = cached_micro(config, label="tcp")
+    monkeypatch.setenv("REPRO_TCP_FASTPATH", "1")
+    result = cached_micro(config, label="tcp")
+    assert result.kernel_events < segment.kernel_events
+    assert result == run_micro(config)
+
+
 # ----------------------------------------------------------------------
 # Fallbacks
 # ----------------------------------------------------------------------

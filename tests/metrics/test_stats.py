@@ -192,12 +192,24 @@ def test_make_stats_factory():
 
 
 def test_streaming_recorder_end_to_end():
-    """RunRecorder(streaming=True) produces a close-to-exact report."""
+    """RunRecorder(streaming=True) produces a close-to-exact report.
+
+    A lazy cohort at its ``streaming_threshold`` switches the recorder to
+    streaming; the threshold changes nothing else about the run.
+    """
+    from dataclasses import replace
+
+    from repro.cohort import CohortConfig
     from repro.experiments.micro import MicroConfig, run_micro
 
-    config = MicroConfig("SingleT-Async", 8, duration=0.3, warmup=0.1)
+    config = MicroConfig(
+        "SingleT-Async", 8, duration=0.3, warmup=0.1,
+        cohort=CohortConfig(streaming_threshold=9),
+    )
     exact = run_micro(config).report
-    streaming = run_micro(config, streaming=True).report
+    streaming = run_micro(
+        replace(config, cohort=CohortConfig(streaming_threshold=8))
+    ).report
     assert streaming.completed == exact.completed
     assert streaming.throughput == pytest.approx(exact.throughput)
     assert streaming.response_time_mean == pytest.approx(exact.response_time_mean)

@@ -10,6 +10,7 @@ from repro.ntier.applications import (
     ProxyApplication,
     QueryApplication,
     ServletApplication,
+    call_downstream,
     route,
 )
 from repro.ntier.pool import ConnectionPool
@@ -178,3 +179,33 @@ def test_hedge_backup_honours_its_replicas_breaker(env, lan, calib):
     assert hedge.hedges_issued == 0
     assert backup_breaker.fast_failures == 1
     assert not request.metadata.get("rejected")
+
+
+def test_cancelled_probes_give_their_breaker_slots_back(env, cpu, lan, calib):
+    """A half-open breaker whose every probe was cancelled (a hedge loser,
+    a fan-in cut) is not judged by them, but must admit probes again."""
+    config = BreakerConfig(open_duration=1.0, half_open_probes=2)
+    breaker = CircuitBreaker(env, config, name="sick")
+    pool = ConnectionPool(env, ThreadedServer(env, cpu), 2, lan, calib, breaker=breaker)
+    while breaker.state != "open":
+        breaker.record_failure()
+    env.run(until=config.open_duration)
+    caller = ThreadedServer(env, cpu)
+    cancel = env.event()
+
+    def probe():
+        routed = route(pool)
+        assert routed is pool
+        status, _ = yield from call_downstream(
+            caller, cpu.thread(), routed,
+            lambda: Request(env, "page", 5000), None, cancel,
+        )
+        return status
+
+    probes = [env.process(probe()) for _ in range(config.half_open_probes)]
+    env.run(until=env.now + 10.0e-6)
+    cancel.succeed()
+    env.run(until=env.now + 100.0)
+    assert [p.value for p in probes] == ["cancelled"] * config.half_open_probes
+    assert breaker.state == "half-open"
+    assert [breaker.allow() for _ in range(3)] == [True, True, False]

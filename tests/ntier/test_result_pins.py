@@ -12,9 +12,11 @@ three single-instance rows and two downstream-call rows: the balancing
 proxy under a deadline with open breakers and hedges, and a replicated DAG
 leaf on a sync edge whose breakers open.
 
-The rows run serial on purpose: a sharded run's ``kernel_events`` is the
-islands' sum (cut bookkeeping included), so these pins carry neither the
-``shard`` nor the ``tcpfast`` marker.
+The rows run serial and on the TCP fast path on purpose: a sharded
+run's ``kernel_events`` is the islands' sum (cut bookkeeping included)
+and the per-segment TCP path processes more events, so these pins carry
+neither the ``shard`` nor the ``tcpfast`` marker and clear both
+switches.
 
 If a *deliberate* behaviour change ever invalidates these pins,
 regenerate them with::
@@ -223,18 +225,43 @@ PINNED = {
 }
 
 
+#: The hashed fields, in the order the pins were recorded: the order
+#: ``NTierResult`` declared them in before it shared its fields with
+#: the micro result.
+_PINNED_FIELDS = (
+    "report",
+    "tier_utilization",
+    "tier_switch_rate",
+    "tomcat_peak_concurrency",
+    "kernel_events",
+    "client_stats",
+    "server_stats",
+    "resilience",
+    "cache_stats",
+    "replica_stats",
+    "cohort_stats",
+    "dag_stats",
+    "faults",
+    "goodput_timeline",
+)
+
+
 def _full_digest(result) -> str:
     """Hash every equality-bearing result field except ``config``."""
+    compared = {
+        spec.name for spec in dataclasses.fields(result)
+        if spec.compare and spec.name != "config"
+    }
+    # A new equality-bearing field must join the hash, not slip past it.
+    assert compared == set(_PINNED_FIELDS)
     payload = []
-    for spec in dataclasses.fields(result):
-        if not spec.compare or spec.name == "config":
-            continue
-        value = getattr(result, spec.name)
+    for name in _PINNED_FIELDS:
+        value = getattr(result, name)
         if dataclasses.is_dataclass(value):
             value = dataclasses.asdict(value)
         elif isinstance(value, dict):
             value = sorted(value.items())
-        payload.append((spec.name, value))
+        payload.append((name, value))
     return hashlib.sha256(repr(payload).encode("utf-8")).hexdigest()[:16]
 
 
@@ -243,6 +270,7 @@ def _run_all() -> dict:
     rows therefore run with exactly the golden matrix's seeds)."""
     with pytest.MonkeyPatch.context() as patch:
         patch.delenv("REPRO_SHARDS", raising=False)
+        patch.delenv("REPRO_TCP_FASTPATH", raising=False)
         executor = SweepExecutor("golden", scale=1.0, jobs=1, cache_dir=None)
         results = executor.map_ntier(dict(_CONFIGS))
     return {name: _full_digest(result) for name, result in results.items()}

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import ExperimentError
-from repro.ntier.topology import NTierConfig, ThreeTierSystem, run_ntier
+from repro.ntier.topology import POOL_SIZE, NTierConfig, ThreeTierSystem, run_ntier
 from repro.sim.core import Environment
 
 
@@ -34,10 +34,10 @@ def test_sync_variant_uses_tomcat_sync(env):
 
 
 def test_pools_bound_tomcat_concurrency(env):
-    config = NTierConfig(tomcat_variant="sync", users=5, apache_tomcat_pool=7)
+    config = NTierConfig(tomcat_variant="sync", users=5)
     system = ThreeTierSystem(env, config)
-    assert system.apache_tomcat_pool.size == 7
-    assert len(system.app_server.connections) == 7
+    assert system.apache_tomcat_pool.size == POOL_SIZE
+    assert len(system.app_server.connections) == POOL_SIZE
 
 
 def mini_config(variant, users=40):

@@ -71,6 +71,22 @@ def test_half_open_admits_bounded_probes(env):
     assert breaker.fast_failures == 1
 
 
+def test_release_frees_one_half_open_slot_and_nothing_else(env):
+    breaker = CircuitBreaker(env, CONFIG)
+    breaker.release()  # closed: admissions hold nothing
+    assert breaker.state == CLOSED
+    _trip(env, breaker)
+    advance(env, CONFIG.open_duration)
+    assert breaker.allow() and breaker.allow()
+    assert not breaker.allow()
+    breaker.release()
+    assert breaker.allow()
+    for _ in range(3):
+        breaker.release()  # never below zero
+    assert breaker.allow() and breaker.allow()
+    assert not breaker.allow()
+
+
 def test_probe_successes_close_the_breaker(env):
     breaker = CircuitBreaker(env, CONFIG)
     _trip(env, breaker)
