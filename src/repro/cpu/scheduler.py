@@ -33,54 +33,23 @@ from typing import Deque, List, Optional
 from repro.calibration import Calibration, DEFAULT_CALIBRATION
 from repro.cpu.accounting import CPUCounters, CPUSnapshot
 from repro.errors import SimulationError
-from repro.sim.core import PRIORITY_URGENT, Environment, Event
+from repro.sim.core import _PENDING, PRIORITY_URGENT, Environment, Event
 
 __all__ = ["CPU", "SimThread"]
-
-_QUEUED = 0
-_RUNNING = 1
-_DONE = 2
 
 
 class _Burst(Event):
     """One submitted unit of CPU work (possibly sliced across quanta).
 
     The burst is itself the event its submitter waits on: it succeeds when
-    the work is done.
+    the work is done.  :meth:`CPU._submit` fills in its slots directly, so
+    a burst costs one allocation and no ``__init__`` chain.
+    ``remaining_user + remaining_system`` is the work left; ``token`` is
+    its current ready-queue entry (a one-slot list, cleared on take so
+    stale deque entries are skipped), or ``None`` once a core took it.
     """
 
-    __slots__ = (
-        "thread",
-        "remaining_user",
-        "remaining_system",
-        "preempted",
-        "state",
-        "token",
-    )
-
-    def __init__(self, thread: "SimThread", user: float, system: float):
-        Event.__init__(self, thread.cpu.env)
-        self.thread = thread
-        self.remaining_user = user
-        self.remaining_system = system
-        self.preempted = False
-        self.state = _QUEUED
-        #: Current ready-queue entry (a one-slot list, cleared on take so
-        #: stale deque entries are skipped).
-        self.token: Optional[list] = None
-
-    @property
-    def remaining(self) -> float:
-        return self.remaining_user + self.remaining_system
-
-    def consume(self, amount: float) -> "tuple[float, float]":
-        """Consume ``amount`` of work, system part first; returns the
-        (user, system) split actually consumed."""
-        sys_part = min(self.remaining_system, amount)
-        self.remaining_system -= sys_part
-        user_part = min(self.remaining_user, amount - sys_part)
-        self.remaining_user -= user_part
-        return user_part, sys_part
+    __slots__ = ("thread", "remaining_user", "remaining_system", "token")
 
 
 class _Core:
@@ -126,55 +95,71 @@ class _Core:
         """Pick the next burst (sticky thread first, then FIFO) and start
         it, charging a context switch when the thread changes."""
         cpu = self.cpu
-        burst = cpu._take_sticky(self)
-        sticky = burst is not None
-        if burst is None:
-            burst = cpu._pop_ready()
-            if burst is None:
-                self.busy = False
-                cpu._idle_cores.append(self)
+        # Sticky pick: the last thread keeps its core while its slice has
+        # budget left and it has a queued burst -- a kernel thread issuing
+        # back-to-back work without blocking.
+        thread = self.last_thread
+        if thread is not None and thread.alive and self.slice_left > 0:
+            burst = thread._pending
+            if burst is not None and burst.token is not None:
+                # Invalidate the ready-queue entry (lazy removal).
+                burst.token[0] = None
+                burst.token = None
+                cpu._queued -= 1
+                self.busy = True
+                self.burst = burst
+                self.run_quantum()
                 return
 
+        burst = cpu._pop_ready()
+        if burst is None:
+            self.busy = False
+            cpu._idle_cores.append(self)
+            return
         self.busy = True
-        burst.state = _RUNNING
         self.burst = burst
-        if not sticky:
-            calib = cpu.calibration
-            if self.last_thread is not burst.thread:
-                cost = calib.context_switch_cost(cpu.runnable_count)
-                counters = cpu.counters
-                counters.context_switches += 1
-                if self.last_preempted:
-                    counters.involuntary_switches += 1
-                else:
-                    counters.voluntary_switches += 1
-                counters.switch_time += cost
-                counters.busy_system += cost
-                self.last_thread = burst.thread
-                self.slice_left = calib.time_slice
-                if cost > 0:
-                    # Pooled: a core keeps no reference to its timers and is
-                    # never interrupted (see the pooled_timeout contract).
-                    self.env.pooled_timeout(cost).callbacks.append(self.run_cb)
-                    return
+        calib = cpu.calibration
+        if self.last_thread is not burst.thread:
+            cost = calib.context_switch_cost(cpu.runnable_count)
+            counters = cpu.counters
+            counters.context_switches += 1
+            if self.last_preempted:
+                counters.involuntary_switches += 1
             else:
-                # Same thread re-picked from the queue: fresh slice, no
-                # switch cost.
-                self.slice_left = calib.time_slice
+                counters.voluntary_switches += 1
+            counters.switch_time += cost
+            counters.busy_system += cost
+            self.last_thread = burst.thread
+            self.slice_left = calib.time_slice
+            if cost > 0:
+                # Pooled: a core keeps no reference to its timers and is
+                # never interrupted (see the pooled_timeout contract).
+                self.env.pooled_timeout(cost).callbacks.append(self.run_cb)
+                return
+        else:
+            # Same thread re-picked from the queue: fresh slice, no switch
+            # cost.
+            self.slice_left = calib.time_slice
         self.run_quantum()
 
     def run_quantum(self, _event: Optional[Event] = None) -> None:
         """Run one quantum of the current burst (to completion if nobody
-        else is waiting)."""
+        else is waiting), consuming its system part first."""
         cpu = self.cpu
         burst = self.burst
+        user = burst.remaining_user
+        system = burst.remaining_system
         if cpu._queued > 0:
-            quantum = min(burst.remaining, self.slice_left, cpu.calibration.time_slice)
+            quantum = min(user + system, self.slice_left, cpu.calibration.time_slice)
         else:
-            quantum = burst.remaining
-        user_part, sys_part = burst.consume(quantum)
-        cpu.counters.busy_user += user_part
-        cpu.counters.busy_system += sys_part
+            quantum = user + system
+        sys_part = min(system, quantum)
+        burst.remaining_system = system - sys_part
+        user_part = min(user, quantum - sys_part)
+        burst.remaining_user = user - user_part
+        counters = cpu.counters
+        counters.busy_user += user_part
+        counters.busy_system += sys_part
         self.slice_left -= quantum
         # quantum > 0: bursts are queued with work left, and a slice is
         # only ever picked with budget left.
@@ -183,8 +168,7 @@ class _Core:
     def finish(self, _event: Optional[Event] = None) -> None:
         """End of a quantum: requeue an unfinished burst, or complete it."""
         burst = self.burst
-        if burst.remaining > 1e-15:
-            burst.preempted = True
+        if burst.remaining_user + burst.remaining_system > 1e-15:
             self.cpu._enqueue(burst)
             self.last_preempted = True
             # Expired slice: the thread goes to the back of the queue and
@@ -223,13 +207,24 @@ class SimThread:
     def run(self, duration: float, kind: str = "user") -> Event:
         """Submit a CPU burst; the returned event succeeds when it is done.
 
-        ``kind`` is ``"user"`` or ``"system"``.
+        ``kind`` is ``"user"`` or ``"system"``.  The per-burst hot path:
+        it makes :meth:`run_split`'s checks itself and submits directly.
         """
         if kind == "user":
-            return self.run_split(duration, 0.0)
-        if kind == "system":
-            return self.run_split(0.0, duration)
-        raise ValueError(f"unknown burst kind {kind!r}")
+            user, system = duration, 0.0
+        elif kind == "system":
+            user, system = 0.0, duration
+        else:
+            raise ValueError(f"unknown burst kind {kind!r}")
+        if not self.alive:
+            raise SimulationError(f"thread {self.name!r} is closed")
+        if duration < 0:
+            raise ValueError("burst durations must be >= 0")
+        if self._pending is not None:
+            raise SimulationError(
+                f"thread {self.name!r} already has an outstanding burst"
+            )
+        return self.cpu._submit(self, user, system)
 
     def run_split(self, user: float, system: float) -> Event:
         """Submit a burst with an explicit (user, system) time split."""
@@ -275,6 +270,9 @@ class CPU:
         self.cores = calibration.cores
         self.counters = CPUCounters()
         self.live_threads = 0
+        #: ``calibration.thread_footprint_factor(live_threads)``, recomputed
+        #: whenever a thread is created or closed (not once per burst).
+        self._footprint = calibration.thread_footprint_factor(0)
         #: Gray-failure hook: every submitted burst is stretched by this
         #: factor (1.0 = healthy).  Set by
         #: :class:`~repro.faults.plan.DegradeWindow` injection to model a
@@ -302,9 +300,11 @@ class CPU:
 
     def _register_thread(self, thread: SimThread) -> None:
         self.live_threads += 1
+        self._footprint = self.calibration.thread_footprint_factor(self.live_threads)
 
     def _unregister_thread(self, thread: SimThread) -> None:
         self.live_threads -= 1
+        self._footprint = self.calibration.thread_footprint_factor(self.live_threads)
         # Drop stale last-thread references so a dead thread's identity
         # cannot suppress a future context-switch count.
         for core in self._cores:
@@ -327,18 +327,32 @@ class CPU:
     # Scheduling
     # ------------------------------------------------------------------
     def _submit(self, thread: SimThread, user: float, system: float) -> Event:
-        user = user * self.calibration.thread_footprint_factor(self.live_threads)
+        user = user * self._footprint
         if self.slowdown != 1.0:
             # Gray failure in effect: all work on this CPU is stretched.
             user *= self.slowdown
             system *= self.slowdown
-        burst = _Burst(thread, user, system)
+        # The fields of Event.__init__, then the burst's own.
+        burst = _Burst.__new__(_Burst)
+        burst.env = self.env
+        burst.callbacks = []
+        burst._value = _PENDING
+        burst._ok = True
+        burst.defused = False
+        burst._cancelled = False
+        burst.thread = thread
+        burst.remaining_user = user
+        burst.remaining_system = system
         self.counters.bursts += 1
-        if burst.remaining <= 0.0:
+        if user + system <= 0.0:
             # Zero-length burst: complete immediately without a core.
             return burst.succeed()
         thread._pending = burst
-        self._enqueue(burst)
+        # _enqueue, inline.
+        token = [burst]
+        burst.token = token
+        self._ready.append(token)
+        self._queued += 1
         if self._idle_cores:
             # Wake an idle core through the heap (same slot as a succeeded
             # wake-up event) so same-time submitters queue up first.
@@ -349,7 +363,6 @@ class CPU:
     def _enqueue(self, burst: _Burst) -> None:
         token = [burst]
         burst.token = token
-        burst.state = _QUEUED
         self._ready.append(token)
         self._queued += 1
 
@@ -363,25 +376,6 @@ class CPU:
                 self._queued -= 1
                 return burst
         return None
-
-    def _take_sticky(self, core: _Core) -> Optional[_Burst]:
-        """The last thread's next burst, if it may keep the core.
-
-        A thread keeps its core while its time slice has budget left and it
-        has a queued burst — the behaviour of a kernel thread that issues
-        back-to-back work without blocking.
-        """
-        thread = core.last_thread
-        if thread is None or not thread.alive or core.slice_left <= 0:
-            return None
-        burst = thread._pending
-        if burst is None or burst.state != _QUEUED or burst.token is None:
-            return None
-        # Invalidate the ready-queue entry (lazy removal).
-        burst.token[0] = None
-        burst.token = None
-        self._queued -= 1
-        return burst
 
     def __repr__(self) -> str:
         return (

@@ -1,15 +1,18 @@
 """Property-based tests of the CPU scheduler (hypothesis)."""
 
 import dataclasses
-from collections import deque
+import os
+import sys
+from collections import Counter, deque
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro.calibration import default_calibration
 from repro.cpu.accounting import CPUCounters
-from repro.cpu.scheduler import _RUNNING, CPU, _Burst
+from repro.cpu.scheduler import CPU, _Burst
 from repro.errors import InterruptError
 from repro.sim.core import PRIORITY_NORMAL, Environment
 
@@ -137,6 +140,9 @@ class _RefCore:
 
 
 class _ReferenceCPU(CPU):
+    """The scheduler as a generator loop per core, with one helper call per
+    step; the production core inlines these steps."""
+
     def __init__(self, env, calibration):
         self.env = env
         self.calibration = calibration
@@ -153,10 +159,19 @@ class _ReferenceCPU(CPU):
             env.process(self._core_loop(core))
 
     def _submit(self, thread, user, system):
+        # The footprint factor is derived from the live-thread count at
+        # every submit, not cached.
         user = user * self.calibration.thread_footprint_factor(self.live_threads)
-        burst = _Burst(thread, user, system)
+        if self.slowdown != 1.0:
+            user *= self.slowdown
+            system *= self.slowdown
+        burst = _Burst(self.env)
+        burst.thread = thread
+        burst.remaining_user = user
+        burst.remaining_system = system
+        burst.token = None
         self.counters.bursts += 1
-        if burst.remaining <= 0.0:
+        if self._remaining(burst) <= 0.0:
             return burst.succeed()
         thread._pending = burst
         self._enqueue(burst)
@@ -164,6 +179,33 @@ class _ReferenceCPU(CPU):
             core = self._idle_cores.pop()
             if core.wakeup is not None and not core.wakeup.triggered:
                 core.wakeup.succeed()
+        return burst
+
+    @staticmethod
+    def _remaining(burst):
+        return burst.remaining_user + burst.remaining_system
+
+    @staticmethod
+    def _consume(burst, amount):
+        """Consume ``amount`` of work, system part first; returns the
+        (user, system) split actually consumed."""
+        sys_part = min(burst.remaining_system, amount)
+        burst.remaining_system -= sys_part
+        user_part = min(burst.remaining_user, amount - sys_part)
+        burst.remaining_user -= user_part
+        return user_part, sys_part
+
+    def _take_sticky(self, core):
+        """The last thread's next burst, if it may keep the core."""
+        thread = core.last_thread
+        if thread is None or not thread.alive or core.slice_left <= 0:
+            return None
+        burst = thread._pending
+        if burst is None or burst.token is None:
+            return None
+        burst.token[0] = None
+        burst.token = None
+        self._queued -= 1
         return burst
 
     def _core_loop(self, core):
@@ -182,7 +224,6 @@ class _ReferenceCPU(CPU):
                 core.wakeup = None
                 continue
             core.busy = True
-            burst.state = _RUNNING
             if not sticky and core.last_thread is not burst.thread:
                 cost = calib.context_switch_cost(self.runnable_count)
                 self.counters.context_switches += 1
@@ -199,17 +240,16 @@ class _ReferenceCPU(CPU):
             elif not sticky:
                 core.slice_left = calib.time_slice
             if self._queued > 0:
-                quantum = min(burst.remaining, core.slice_left, calib.time_slice)
+                quantum = min(self._remaining(burst), core.slice_left, calib.time_slice)
             else:
-                quantum = burst.remaining
-            user_part, sys_part = burst.consume(quantum)
+                quantum = self._remaining(burst)
+            user_part, sys_part = self._consume(burst, quantum)
             self.counters.busy_user += user_part
             self.counters.busy_system += sys_part
             if quantum > 0:
                 yield env.pooled_timeout(quantum)
             core.slice_left -= quantum
-            if burst.remaining > 1e-15:
-                burst.preempted = True
+            if self._remaining(burst) > 1e-15:
                 self._enqueue(burst)
                 core.last_preempted = True
                 core.slice_left = 0.0
@@ -253,14 +293,22 @@ class _CountingEnv(Environment):
         super()._compact()
 
 
-_DURATIONS = (50e-6, 100e-6, 100e-6, 2.5e-3)  # repeats make same-time ties
-_ACTIONS = ("none", "spawn", "interrupt", "succeed", "abandon")
+# 0.0 user time with no system part is a zero-length burst; repeats make
+# same-time ties.
+_DURATIONS = (0.0, 50e-6, 100e-6, 100e-6, 2.5e-3)
+_ACTIONS = (
+    "none", "spawn", "interrupt", "succeed", "abandon", "open", "close", "slow",
+)
+_SLOWDOWN = 1.0 / (1.0 - 0.3)  # what a DegradeWindow with share 0.3 sets
 
 _scenarios = st.tuples(
     st.integers(min_value=1, max_value=2),  # cores
     # Switch cost (base, alpha): a flat or zero cost lets two cores finish
     # identical bursts at the very same instant.
     st.sampled_from(((2e-6, 0.6), (2e-6, 0.0), (0.0, 0.0))),
+    # thread_footprint_free: below the live-thread count, user work is
+    # inflated by a factor that moves as threads open and close.
+    st.sampled_from((16, 2, 0)),
     st.lists(  # one burst plan per thread
         st.lists(
             st.tuples(
@@ -279,16 +327,24 @@ _scenarios = st.tuples(
 )
 
 
-def _run_scenario(cpu_cls, cores, switch_cost, plans):
-    """Drive ``plans`` on a fresh CPU; returns (trace, counters, now, env)."""
+def _run_scenario(cpu_cls, cores, switch_cost, footprint_free, plans, reached=None):
+    """Drive ``plans`` on a fresh CPU; returns (trace, counters, now, env).
+
+    ``reached``, if given, counts the submit-path branches the run took.
+    """
     env = _CountingEnv()
     base, alpha = switch_cost
     calibration = default_calibration(
-        cores=cores, context_switch_base=base, context_switch_alpha=alpha
+        cores=cores,
+        context_switch_base=base,
+        context_switch_alpha=alpha,
+        thread_footprint_free=footprint_free,
     )
     cpu = cpu_cls(env, calibration)
+    reached = Counter() if reached is None else reached
     trace = []
     live = [len(plans)]
+    spares = []  # threads opened by "open" and not yet closed
 
     def sleeper():
         while True:
@@ -317,7 +373,14 @@ def _run_scenario(cpu_cls, cores, switch_cost, plans):
             gate = env.event()
             if action == "succeed":
                 env.process(listener(name, gate))
-            burst = thread.run_split(user, system)
+            if user + system == 0.0:
+                reached["zero"] += 1
+            elif user and calibration.thread_footprint_factor(cpu.live_threads) > 1.0:
+                reached["inflated"] += 1
+            if system:
+                burst = thread.run_split(user, system)
+            else:
+                burst = thread.run(user)
             if race:
                 # The completion prunes (lazily cancels) the losing timer
                 # from inside its own callbacks.
@@ -336,6 +399,20 @@ def _run_scenario(cpu_cls, cores, switch_cost, plans):
                 # the heap through compactions.
                 for _ in range(12):
                     yield env.any_of([env.timeout(0.0), env.timeout(7.0)])
+            elif action == "open":
+                spares.append(cpu.thread(f"{name}-spare"))
+                reached["open"] += 1
+            elif action == "close" and spares:
+                spares.pop(0).close()
+                reached["close"] += 1
+            elif action == "slow":
+                # Toggle a gray-failure slowdown on and off mid-run.
+                cpu.slowdown = _SLOWDOWN if cpu.slowdown == 1.0 else 1.0
+                reached["slow"] += 1
+        # The thread exits while the others may still run: the live count
+        # (so the footprint factor) drops, and no core may keep it as its
+        # last thread.
+        thread.close()
         live[0] -= 1
         if live[0] == 0:
             sleeping.interrupt("stop")
@@ -347,12 +424,12 @@ def _run_scenario(cpu_cls, cores, switch_cost, plans):
 
 
 def test_in_place_completion_matches_generator_core():
-    fired = {"done_queued": 0, "resume_queued": 0}
+    fired = Counter()
 
     @given(scenario=_scenarios)
     @settings(max_examples=150, deadline=None)
     def check(scenario):
-        *got, env = _run_scenario(CPU, *scenario)
+        *got, env = _run_scenario(CPU, *scenario, reached=fired)
         *want, ref_env = _run_scenario(_ReferenceCPU, *scenario)
         assert got == want
         assert env.compactions == ref_env.compactions
@@ -362,6 +439,10 @@ def test_in_place_completion_matches_generator_core():
     check()
     assert fired["done_queued"] > 0
     assert fired["resume_queued"] > 0
+    # Every branch of the submit path was compared: an inflated footprint
+    # factor, threads opened and closed mid-run, a slowdown, zero length.
+    for branch in ("inflated", "open", "close", "slow", "zero"):
+        assert fired[branch] > 0, branch
 
 
 def test_in_place_completion_keeps_compaction_timing():
@@ -405,3 +486,46 @@ def test_back_to_back_bursts_event_count():
     env.run()
     assert cpu.counters.bursts == 10
     assert env.events_processed == 15
+
+
+_REPRO_ROOT = os.path.dirname(repro.__file__) + os.sep
+
+
+def _repro_calls(n_bursts):
+    """Python calls into ``repro`` code while one thread runs ``n_bursts``
+    back-to-back 100 us bursts on an idle core, counted with
+    ``sys.setprofile`` (a generator resume is a call too)."""
+    env = Environment()
+    # A slice longer than the run: every burst after the first is sticky.
+    cpu = CPU(env, default_calibration(cores=1, time_slice=1.0))
+    thread = cpu.thread()
+
+    def worker():
+        for _ in range(n_bursts):
+            yield thread.run(100e-6)
+
+    env.process(worker())
+    calls = 0
+
+    def profile(frame, event, _arg):
+        nonlocal calls
+        if event == "call" and frame.f_code.co_filename.startswith(_REPRO_ROOT):
+            calls += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        env.run()
+    finally:
+        sys.setprofile(previous)
+    assert cpu.counters.bursts == n_bursts
+    assert cpu.counters.context_switches == 1
+    return calls
+
+
+def test_sticky_burst_python_call_count():
+    """One sticky burst costs 8 calls into ``repro``: ``SimThread.run``,
+    ``CPU._submit``, the core's ``dispatch``, ``run_quantum`` and
+    ``finish``, the quantum's ``pooled_timeout``, ``succeed_in_place`` and
+    the waiter's ``Process._resume``."""
+    assert _repro_calls(20) - _repro_calls(10) == 10 * 8

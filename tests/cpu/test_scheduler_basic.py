@@ -151,18 +151,28 @@ def test_failing_completion_callback_keeps_the_core_running(env, cpu):
     assert cpu.counters.bursts == 2
 
 
-def test_footprint_factor_inflates_user_work(env, calib):
-    env2 = Environment()
-    cpu = CPU(env2, calib)
-    # Register enough threads to exceed the footprint-free limit.
-    threads = [cpu.thread() for _ in range(200)]
+@pytest.mark.parametrize(
+    "created, closed",
+    [(200, 0), (200, 150), (20, 10), (17, 0)],
+)
+def test_footprint_factor_inflates_user_work(calib, created, closed):
+    """User work is inflated by the factor of the live-thread count at
+    submit time, counting closed threads out (20 created, 10 closed is
+    back under the footprint-free limit: factor 1)."""
+    env = Environment()
+    cpu = CPU(env, calib)
+    threads = [cpu.thread() for _ in range(created)]
+    for thread in threads[1 : closed + 1]:
+        thread.close()
+    live = created - closed
 
     def worker(env, thread):
         yield thread.run(1e-3)
 
-    env2.process(worker(env2, threads[0]))
-    env2.run()
-    assert cpu.counters.busy_user > 1e-3 * 1.05
+    env.process(worker(env, threads[0]))
+    env.run()
+    assert cpu.live_threads == live
+    assert cpu.counters.busy_user == 1e-3 * calib.thread_footprint_factor(live)
 
 
 def test_snapshot_usage_since(env, cpu):

@@ -42,3 +42,15 @@ def test_warns_on_missing_sections(assembler, capsys):
     (assembler.GENERATED / "fig1.md").write_text("### fig1\n")
     assert assembler.main() == 0
     assert "missing sections" in capsys.readouterr().err
+
+
+def test_keeps_the_speed_records(assembler):
+    """The speed records are in no generated section: the assembler must
+    append them, and EXPERIMENTS.md must hold them as assembled."""
+    assembler.GENERATED.mkdir()
+    (assembler.GENERATED / "shard.md").write_text("### shard: islands\n")
+    assert assembler.main() == 0
+    text = assembler.OUTPUT.read_text(encoding="utf-8")
+    committed = (ROOT / "EXPERIMENTS.md").read_text(encoding="utf-8")
+    records = committed[committed.index("### Simulator speed records"):]
+    assert text.endswith("### shard: islands\n\n---\n\n" + records)
