@@ -7,11 +7,10 @@ and :mod:`repro.cohort.config` for the materialization modes.
 """
 
 from repro.cohort.config import CohortConfig
-from repro.cohort.engine import Cohort, CohortPopulation, CohortStats
+from repro.cohort.engine import Cohort, CohortStats
 
 __all__ = [
     "CohortConfig",
     "Cohort",
-    "CohortPopulation",
     "CohortStats",
 ]

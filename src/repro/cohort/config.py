@@ -20,10 +20,27 @@ from dataclasses import dataclass
 
 from repro.errors import ExperimentError
 
-__all__ = ["CohortConfig", "MATERIALIZE_MODES"]
+__all__ = [
+    "CohortConfig",
+    "EPISODE_REQUESTS",
+    "MATERIALIZE_MODES",
+    "RAMP_SLICES",
+    "STREAMING_THRESHOLD",
+]
 
 #: Supported materialization modes.
 MATERIALIZE_MODES = ("lazy", "always")
+
+#: Ramp-up staggering granularity: member start times are bucketed into
+#: this many uniform slices instead of one timer per member, so startup
+#: costs O(slices) events regardless of population size.
+RAMP_SLICES = 256
+#: Logical requests a materialized episode client serves before it folds
+#: back into the aggregate.
+EPISODE_REQUESTS = 1
+#: Population size at which a lazy cohort's run recorder streams
+#: (fixed-memory P² samplers) so measurement heap stays bounded.
+STREAMING_THRESHOLD = 100_000
 
 
 @dataclass(frozen=True)
@@ -35,7 +52,7 @@ class CohortConfig:
     bundle of live connections; memory and event count scale with
     *activity*, not with N.  Individual clients materialize only for
     special episodes (timeouts, rejections, connection loss, injected
-    aborts, observer access) and fold back afterwards.
+    aborts) and fold back afterwards.
     """
 
     #: ``"lazy"`` — aggregate engine with episodic materialization; or
@@ -44,10 +61,6 @@ class CohortConfig:
     #: Upper bound on live connections the aggregate keeps open at once;
     #: members beyond it wait in an (anonymous, zero-cost) launch queue.
     max_inflight: int = 4096
-    #: Ramp-up staggering granularity: member start times are bucketed
-    #: into this many uniform slices instead of one timer per member, so
-    #: startup costs O(slices) events regardless of population size.
-    ramp_slices: int = 256
     #: Members enter through a think-time draw *before* their first
     #: request (a mostly-idle connected population — the million-client
     #: scouting regime) instead of firing immediately on start (JMeter).
@@ -59,12 +72,6 @@ class CohortConfig:
     #: thread: a provisioned bundle attaches before the clock starts, so
     #: no connection ever crosses a shard cut mid-run.
     eager_connections: bool = False
-    #: Logical requests a materialized episode client serves before it
-    #: folds back into the aggregate.
-    episode_requests: int = 1
-    #: Population size at which the run recorder defaults to streaming
-    #: (fixed-memory P² samplers) so measurement heap stays bounded.
-    streaming_threshold: int = 100_000
 
     def validate(self) -> "CohortConfig":
         """Raise :class:`ExperimentError` on nonsensical settings."""
@@ -76,19 +83,6 @@ class CohortConfig:
         if self.max_inflight < 1:
             raise ExperimentError(
                 f"max_inflight must be >= 1, got {self.max_inflight!r}"
-            )
-        if self.ramp_slices < 1:
-            raise ExperimentError(
-                f"ramp_slices must be >= 1, got {self.ramp_slices!r}"
-            )
-        if self.episode_requests < 1:
-            raise ExperimentError(
-                f"episode_requests must be >= 1, got {self.episode_requests!r}"
-            )
-        if self.streaming_threshold < 1:
-            raise ExperimentError(
-                f"streaming_threshold must be >= 1, "
-                f"got {self.streaming_threshold!r}"
             )
         return self
 

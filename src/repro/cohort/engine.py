@@ -18,10 +18,10 @@ arrival out of the superposition of all members' think clocks:
 * ``ExponentialThink`` — the superposition of k memoryless clocks of
   mean ``m`` is a Poisson process of rate ``k/m``; one timer, resampled
   whenever k changes.  Exact, and O(1) memory for any population size.
-* ``FixedThink`` — arrivals are completions shifted by a constant, so a
-  FIFO of fire times plus one timer suffices (O(thinking) *floats*).
-* any other :class:`~repro.workload.client.ThinkTime` — per-entry sample
-  into a float min-heap plus one timer (O(thinking) floats).
+* any other :class:`~repro.workload.client.ThinkTime` (``FixedThink``
+  included) — per-entry sample into a float min-heap plus one timer
+  (O(thinking) floats).  A constant think time pushes ``now + T``, so
+  its entries pop in completion order.
 
 Lazy materialization
 --------------------
@@ -34,8 +34,7 @@ and folds its counters back into the aggregate when its episode ends:
 * a response timeout or mid-flight connection loss (retry/reconnect
   decisions live in the client),
 * a server rejection when the retry policy retries rejections,
-* an injected client-abort draw (fault windows),
-* an observer calling :meth:`Cohort.materialize`.
+* an injected client-abort draw (fault windows).
 
 Modeling trade-offs (documented, deliberate): the server sees at most
 ``max_inflight`` cohort connections rather than one per member, so
@@ -49,7 +48,6 @@ path — ``materialize="always"`` is, bit for bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import Callable, Dict, List, Optional
 
@@ -65,16 +63,15 @@ from repro.workload.client import (
     ClientStats,
     ClosedLoopClient,
     ExponentialThink,
-    FixedThink,
     NoThink,
     RetryPolicy,
     ThinkTime,
 )
 from repro.workload.mixes import RequestMix
 
-from repro.cohort.config import CohortConfig
+from repro.cohort.config import EPISODE_REQUESTS, RAMP_SLICES, CohortConfig
 
-__all__ = ["Cohort", "CohortPopulation", "CohortStats"]
+__all__ = ["Cohort", "CohortStats"]
 
 
 class CohortStats:
@@ -121,9 +118,6 @@ class _ImmediateArrivals:
         for _ in range(n):
             self.ready()
 
-    def take_one(self) -> bool:
-        return False
-
 
 class _ExponentialArrivals:
     """Superposition of k exponential clocks == Poisson(k/mean).
@@ -146,13 +140,6 @@ class _ExponentialArrivals:
         self.count += n
         self._rearm()
 
-    def take_one(self) -> bool:
-        if self.count < 1:
-            return False
-        self.count -= 1
-        self._rearm()
-        return True
-
     def _rearm(self) -> None:
         if self.timer is not None:
             self.env._cancel(self.timer)
@@ -167,49 +154,6 @@ class _ExponentialArrivals:
         self.timer = None
         self.count -= 1
         self._rearm()
-        self.ready()
-
-
-class _FixedArrivals:
-    """Constant think time: arrivals are completions shifted by T (FIFO)."""
-
-    __slots__ = ("env", "seconds", "times", "timer", "ready")
-
-    def __init__(self, env: Environment, seconds: float, ready: Callable[[], None]):
-        from collections import deque
-
-        self.env = env
-        self.seconds = seconds
-        self.times = deque()
-        self.timer = None
-        self.ready = ready
-
-    @property
-    def count(self) -> int:
-        return len(self.times)
-
-    def enter(self, n: int = 1) -> None:
-        at = self.env.now + self.seconds
-        for _ in range(n):
-            self.times.append(at)
-        self._arm()
-
-    def take_one(self) -> bool:
-        if not self.times:
-            return False
-        self.times.pop()
-        return True
-
-    def _arm(self) -> None:
-        if self.timer is None and self.times:
-            timer = self.env.schedule_at(self.times[0])
-            timer.callbacks.append(self._fired)
-            self.timer = timer
-
-    def _fired(self, _event) -> None:
-        self.timer = None
-        self.times.popleft()
-        self._arm()
         self.ready()
 
 
@@ -237,12 +181,6 @@ class _SampledArrivals:
             heappush(self.times, now + self.think.sample(self.rng))
         self._arm()
 
-    def take_one(self) -> bool:
-        if not self.times:
-            return False
-        heappop(self.times)
-        return True
-
     def _arm(self) -> None:
         if not self.times:
             return
@@ -259,8 +197,7 @@ class _SampledArrivals:
 
     def _fired(self, _event) -> None:
         self.timer = None
-        if self.times:
-            heappop(self.times)
+        heappop(self.times)
         self._arm()
         self.ready()
 
@@ -271,10 +208,6 @@ def _make_arrivals(env: Environment, think: ThinkTime, rng,
         return _ImmediateArrivals(ready)
     if isinstance(think, ExponentialThink):
         return _ExponentialArrivals(env, rng, think.mean, ready)
-    if isinstance(think, FixedThink):
-        if think.seconds <= 0.0:
-            return _ImmediateArrivals(ready)
-        return _FixedArrivals(env, think.seconds, ready)
     return _SampledArrivals(env, rng, think, ready)
 
 
@@ -366,10 +299,10 @@ class Cohort:
         self._conns = 0
         self._grow_blocked = False
         self._flights: Dict[int, _Flight] = {}
-        # Lazily-chained ramp slices: O(ramp_slices) start events total.
+        # Lazily-chained ramp slices: O(RAMP_SLICES) start events total.
         self._t0 = env.now
         self._ramp = ramp_up if ramp_up > 0 else 0.0
-        self._slices = min(self.config.ramp_slices, size) if self._ramp > 0 else 1
+        self._slices = min(RAMP_SLICES, size) if self._ramp > 0 else 1
         self._slice_i = 0
         if self.config.eager_connections:
             # Provisioned bundle (JMeter-style pre-opened sockets): attach
@@ -419,11 +352,6 @@ class Cohort:
             "materialized": len(self._materialized),
             "lost": self._lost,
         }
-
-    @property
-    def completed_requests(self) -> int:
-        live = sum(c.requests_completed for c in self._materialized.values())
-        return self.stats.completed + self._episode_done + live
 
     # ------------------------------------------------------------------
     # Ramp-up: lazily-chained uniform slices
@@ -663,37 +591,8 @@ class Cohort:
         return conn
 
     def _begin_episode(self) -> None:
-        self._materialize_client(self._assign_index(), self.config.episode_requests)
-
-    def materialize(self, index: int,
-                    requests: Optional[int] = None) -> ClosedLoopClient:
-        """Observer access: turn member ``index`` into a real client.
-
-        The member is detached from whichever anonymous pool it occupies
-        (thinking, then unstarted, then queued); it folds back after
-        ``requests`` logical requests (default: ``episode_requests``).
-        """
-        existing = self._materialized.get(index)
-        if existing is not None:
-            return existing
-        if not 0 <= index < self.size:
-            raise WorkloadError(f"index {index!r} outside cohort of {self.size}")
-        if self._arrivals.take_one():
-            pass
-        elif self._unstarted > 0:
-            self._unstarted -= 1
-            self.stats.entered += 1
-        elif self._queued > 0:
-            self._queued -= 1
-        else:
-            raise WorkloadError(
-                f"cohort {self.name!r}: no detachable member for index {index}"
-            )
-        return self._materialize_client(
-            index, requests if requests is not None else self.config.episode_requests
-        )
-
-    def _materialize_client(self, index: int, stop_after: int) -> ClosedLoopClient:
+        """Materialize the next free member index as a real client."""
+        index = self._assign_index()
         self.stats.episodes += 1
         conn = self._episode_connect(index)
         client = ClosedLoopClient(
@@ -709,7 +608,7 @@ class Cohort:
             faults=self.faults.for_client(index) if self.faults is not None else None,
             budget=self.budget,
             deadline=self.deadline,
-            stop_after=stop_after,
+            stop_after=EPISODE_REQUESTS,
         )
         self._materialized[index] = client
         if len(self._materialized) > self.stats.materialized_peak:
@@ -717,7 +616,6 @@ class Cohort:
         client.process.callbacks.append(
             lambda _event, i=index, c=client: self._fold_back(i, c)
         )
-        return client
 
     def _fold_back(self, index: int, client: ClosedLoopClient) -> None:
         self._materialized.pop(index, None)
@@ -735,12 +633,6 @@ class Cohort:
     # ------------------------------------------------------------------
     # Reporting
     # ------------------------------------------------------------------
-    def live_connections(self) -> List[Connection]:
-        """Open bundle connections (idle and in flight)."""
-        conns = [c for c in self._idle if not c.closed]
-        conns.extend(f.conn for f in self._flights.values() if not f.conn.closed)
-        return conns
-
     def client_stat_totals(self) -> Dict[str, float]:
         """ClientStats-shaped totals: folded + live episodes + aggregate."""
         totals = {slot: 0.0 for slot in ClientStats.__slots__}
@@ -755,7 +647,7 @@ class Cohort:
         totals["rejected"] += self.stats.rejected
         return totals
 
-    def stats_dict(self) -> Dict[str, float]:
+    def cohort_stats(self) -> Dict[str, float]:
         """Every aggregate counter as a flat ``str -> float`` mapping."""
         out = {slot: float(getattr(self.stats, slot)) for slot in CohortStats.__slots__}
         out["size"] = float(self.size)
@@ -770,57 +662,3 @@ class Cohort:
             f"inflight={self._inflight} thinking={self.thinking} "
             f"materialized={len(self._materialized)}>"
         )
-
-
-@dataclass
-class CohortPopulation:
-    """A population built as one or more aggregate cohorts.
-
-    Duck-type compatible with :class:`repro.workload.population.Population`
-    where the runners need it: ``size``, ``completed_requests``,
-    ``clients`` (the currently-materialized ones), ``connections`` (the
-    live bundles) and the stats sweeps.
-    """
-
-    cohorts: List[Cohort]
-    recorder: Optional[RunRecorder] = None
-
-    @property
-    def size(self) -> int:
-        return sum(c.size for c in self.cohorts)
-
-    @property
-    def completed_requests(self) -> int:
-        return sum(c.completed_requests for c in self.cohorts)
-
-    @property
-    def clients(self) -> List[ClosedLoopClient]:
-        out: List[ClosedLoopClient] = []
-        for cohort in self.cohorts:
-            out.extend(cohort.materialized.values())
-        return out
-
-    @property
-    def connections(self) -> List[Connection]:
-        out: List[Connection] = []
-        for cohort in self.cohorts:
-            out.extend(cohort.live_connections())
-        return out
-
-    def client_stat_totals(self) -> Dict[str, float]:
-        """Summed ClientStats-shaped counters across every cohort."""
-        totals = {slot: 0.0 for slot in ClientStats.__slots__}
-        for cohort in self.cohorts:
-            for key, value in cohort.client_stat_totals().items():
-                totals[key] += value
-        return totals
-
-    def cohort_stats(self) -> Dict[str, float]:
-        """Flat counter dict (single cohort) or prefixed per cohort."""
-        if len(self.cohorts) == 1:
-            return self.cohorts[0].stats_dict()
-        out: Dict[str, float] = {}
-        for i, cohort in enumerate(self.cohorts):
-            for key, value in cohort.stats_dict().items():
-                out[f"c{i}.{key}"] = value
-        return out

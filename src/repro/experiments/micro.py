@@ -257,7 +257,7 @@ class _MicroSystem:
 def run_micro(config: MicroConfig, shards: Optional[int] = None) -> MicroResult:
     """Run one micro-benchmark and return its measurements.
 
-    A lazy cohort of at least ``streaming_threshold`` clients is recorded
+    A lazy cohort of at least ``STREAMING_THRESHOLD`` clients is recorded
     with fixed-memory P² samplers (moments exact, percentiles estimated);
     every other run keeps raw samples for exact percentiles.
 

@@ -58,7 +58,6 @@ __all__ = [
     "CACHE_VERSION",
     "SweepExecutor",
     "SweepStats",
-    "SweepTotals",
     "cache_root",
     "cached_call",
     "cached_micro",
@@ -189,6 +188,53 @@ def point_digest(config: object) -> str:
     return hashlib.blake2b(text.encode("utf-8"), digest_size=16).hexdigest()
 
 
+def _memo_key(*parts: object) -> str:
+    """Memo entry name: the source digest plus the caller's key ``parts``."""
+    return hashlib.blake2b(
+        repr((CACHE_VERSION, code_digest()) + parts).encode("utf-8"),
+        digest_size=16,
+    ).hexdigest()
+
+
+#: What :func:`_memo_load` returns for an entry that is not there.
+_MISS = object()
+
+
+def _memo_load(path: Optional[Path]) -> object:
+    """The result memoised at ``path``, or :data:`_MISS`.
+
+    ``None`` (caching disabled) is a miss.  A corrupt or unreadable entry
+    is deleted and is a miss too, so it is recomputed.
+    """
+    if path is None:
+        return _MISS
+    try:
+        with path.open("rb") as handle:
+            return pickle.load(handle)
+    except FileNotFoundError:
+        return _MISS
+    except Exception:
+        try:
+            path.unlink()
+        except OSError:
+            pass
+        return _MISS
+
+
+def _memo_store(path: Optional[Path], result: object) -> None:
+    """Write ``result`` to ``path`` through a temporary file (atomic)."""
+    if path is None:
+        return
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        tmp = path.with_suffix(f".tmp.{os.getpid()}")
+        with tmp.open("wb") as handle:
+            pickle.dump(result, handle, protocol=pickle.HIGHEST_PROTOCOL)
+        os.replace(tmp, path)
+    except (OSError, pickle.PicklingError):
+        pass  # a cold cache is always safe
+
+
 def _run_point(runner: str, config: object) -> object:
     """Execute one simulation point (module-level: must pickle to workers)."""
     return _runner_registry()[runner](config)
@@ -234,6 +280,12 @@ class SweepStats:
             return 0.0
         return self.kernel_events / self.kernel_wall_s
 
+    def add(self, other: "SweepStats") -> None:
+        """Fold ``other``'s accounting into this one, field by field."""
+        for field in fields(self):
+            setattr(self, field.name,
+                    getattr(self, field.name) + getattr(other, field.name))
+
     def describe(self) -> str:
         """One-line human summary."""
         text = (
@@ -248,39 +300,18 @@ class SweepStats:
         return text
 
 
-@dataclass
-class SweepTotals:
-    """Process-wide sweep accounting since the last :func:`consume_sweep_totals`.
-
-    Artifact runners construct their :class:`SweepExecutor` internally, so
-    the CLI cannot reach the per-executor :class:`SweepStats`; every
-    executor therefore also folds its accounting into one module-level
-    accumulator that the CLI drains after each artifact run to print the
-    per-artifact kernel summary line.
-    """
-
-    points: int = 0
-    cache_hits: int = 0
-    kernel_events: int = 0
-    kernel_wall_s: float = 0.0
-    shard_points: int = 0
-    shard_stall_s: float = 0.0
-
-    @property
-    def events_per_sec(self) -> float:
-        """Aggregate kernel simulation rate (0 when nothing simulated)."""
-        if self.kernel_wall_s <= 0.0:
-            return 0.0
-        return self.kernel_events / self.kernel_wall_s
+#: Process-wide accounting since the last :func:`consume_sweep_totals`.
+#: Artifact runners build their :class:`SweepExecutor` internally, so the
+#: CLI cannot reach the per-executor stats; every executor also folds its
+#: accounting in here, and the CLI drains it after each artifact run to
+#: print the per-artifact kernel summary line.
+_sweep_totals = SweepStats()
 
 
-_sweep_totals = SweepTotals()
-
-
-def consume_sweep_totals() -> SweepTotals:
+def consume_sweep_totals() -> SweepStats:
     """Return and reset the process-wide sweep accounting."""
     global _sweep_totals
-    taken, _sweep_totals = _sweep_totals, SweepTotals()
+    taken, _sweep_totals = _sweep_totals, SweepStats()
     return taken
 
 
@@ -333,45 +364,33 @@ class SweepExecutor:
     def _map(self, runner: str, points: Mapping[object, object]) -> Dict[object, object]:
         ordered = [(key, self._prepare(runner, key, config))
                    for key, config in points.items()]
-        self.stats.points += len(ordered)
+        run = SweepStats(points=len(ordered))
         results: Dict[object, object] = {}
         pending: Dict[object, object] = {}
         for key, config in ordered:
-            cached = self._cache_load(runner, config)
-            if cached is not None:
+            cached = _memo_load(self._cache_path(runner, config))
+            if cached is not _MISS:
                 results[key] = cached
-                self.stats.cache_hits += 1
+                run.cache_hits += 1
             else:
                 pending[key] = config
-        events = 0
-        wall = 0.0
-        shard_points = 0
-        shard_stall = 0.0
         if pending:
             computed = self._compute(runner, pending)
-            self.stats.computed += len(computed)
+            run.computed = len(computed)
             for key, result in computed.items():
-                self._cache_store(runner, pending[key], result)
+                _memo_store(self._cache_path(runner, pending[key]), result)
                 results[key] = result
                 # Results carry their own kernel accounting (captured in
                 # the worker that simulated them); fold it up here so the
                 # CLI can print a per-artifact events/sec line.
-                events += getattr(result, "kernel_events", 0)
-                wall += getattr(result, "sim_wall_s", 0.0)
+                run.kernel_events += getattr(result, "kernel_events", 0)
+                run.kernel_wall_s += getattr(result, "sim_wall_s", 0.0)
                 shards = getattr(result, "shard_events", ())
                 if shards:
-                    shard_points += 1
-                    shard_stall += sum(s.stall_s for s in shards)
-        self.stats.kernel_events += events
-        self.stats.kernel_wall_s += wall
-        self.stats.shard_points += shard_points
-        self.stats.shard_stall_s += shard_stall
-        _sweep_totals.points += len(ordered)
-        _sweep_totals.cache_hits += len(ordered) - len(pending)
-        _sweep_totals.kernel_events += events
-        _sweep_totals.kernel_wall_s += wall
-        _sweep_totals.shard_points += shard_points
-        _sweep_totals.shard_stall_s += shard_stall
+                    run.shard_points += 1
+                    run.shard_stall_s += sum(s.stall_s for s in shards)
+        self.stats.add(run)
+        _sweep_totals.add(run)
         return {key: results[key] for key, _ in ordered}
 
     def _prepare(self, runner: str, key: object, config: object) -> object:
@@ -420,49 +439,10 @@ class SweepExecutor:
     def _cache_path(self, runner: str, config: object) -> Optional[Path]:
         if self.cache_dir is None:
             return None
-        key = hashlib.blake2b(
-            repr((
-                CACHE_VERSION,
-                code_digest(),
-                self.artifact,
-                runner,
-                self.scale,
-                run_inputs(),
-                point_digest(config),
-            )).encode("utf-8"),
-            digest_size=16,
-        ).hexdigest()
+        key = _memo_key(
+            self.artifact, runner, self.scale, run_inputs(), point_digest(config)
+        )
         return self.cache_dir / self.artifact / f"{runner}-{key}.pkl"
-
-    def _cache_load(self, runner: str, config: object) -> Optional[object]:
-        path = self._cache_path(runner, config)
-        if path is None:
-            return None
-        try:
-            with path.open("rb") as handle:
-                return pickle.load(handle)
-        except FileNotFoundError:
-            return None
-        except Exception:
-            # Corrupt or unreadable entry: drop it and recompute.
-            try:
-                path.unlink()
-            except OSError:
-                pass
-            return None
-
-    def _cache_store(self, runner: str, config: object, result: object) -> None:
-        path = self._cache_path(runner, config)
-        if path is None:
-            return
-        try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            tmp = path.with_suffix(f".tmp.{os.getpid()}")
-            with tmp.open("wb") as handle:
-                pickle.dump(result, handle, protocol=pickle.HIGHEST_PROTOCOL)
-            os.replace(tmp, path)
-        except (OSError, pickle.PicklingError):
-            pass  # a cold cache is always safe
 
 
 def cached_micro(config: object, label: str = "adhoc") -> object:
@@ -495,36 +475,12 @@ def cached_call(fn: Callable[..., object], *args: object, label: str = "call") -
     root = cache_root()
     if root is None:
         return fn(*args)
-    key = hashlib.blake2b(
-        repr((
-            CACHE_VERSION,
-            code_digest(),
-            label,
-            fn.__module__,
-            fn.__qualname__,
-            run_inputs(),
-            point_digest(args),
-        )).encode("utf-8"),
-        digest_size=16,
-    ).hexdigest()
+    key = _memo_key(
+        label, fn.__module__, fn.__qualname__, run_inputs(), point_digest(args)
+    )
     path = root / label / f"{key}.pkl"
-    try:
-        with path.open("rb") as handle:
-            return pickle.load(handle)
-    except FileNotFoundError:
-        pass
-    except Exception:
-        try:
-            path.unlink()
-        except OSError:
-            pass
-    result = fn(*args)
-    try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_suffix(f".tmp.{os.getpid()}")
-        with tmp.open("wb") as handle:
-            pickle.dump(result, handle, protocol=pickle.HIGHEST_PROTOCOL)
-        os.replace(tmp, path)
-    except (OSError, pickle.PicklingError):
-        pass  # a cold cache is always safe
+    result = _memo_load(path)
+    if result is _MISS:
+        result = fn(*args)
+        _memo_store(path, result)
     return result

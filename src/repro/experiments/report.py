@@ -73,7 +73,7 @@ def render_artifact(result: ArtifactResult) -> str:
 def render_sweep_summary(elapsed_s: float, totals: object, scale: float = 1.0) -> str:
     """One-line per-artifact execution summary for the CLI.
 
-    ``totals`` is the :class:`~repro.experiments.parallel.SweepTotals`
+    ``totals`` is the :class:`~repro.experiments.parallel.SweepStats`
     drained after the artifact ran: wall time always, plus the kernel
     event count and simulation rate when any point was actually simulated
     (a fully cached regeneration has no meaningful rate to report).

@@ -8,7 +8,6 @@ from repro.metrics.queueing import (
     utilization_law_demand,
 )
 from repro.metrics.stats import SummaryStats, percentile
-from repro.metrics.timeseries import TimeSeries
 from repro.metrics.tracing import RequestTrace, RequestTracer, TraceEvent
 
 __all__ = [
@@ -20,7 +19,6 @@ __all__ = [
     "utilization_law_demand",
     "SummaryStats",
     "percentile",
-    "TimeSeries",
     "RequestTrace",
     "RequestTracer",
     "TraceEvent",

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from typing import Dict
 
+from repro.cohort.config import STREAMING_THRESHOLD
 from repro.cpu.scheduler import CPU
 from repro.net.link import Link
 from repro.shard.channels import Island
@@ -89,7 +90,7 @@ def build_micro_client(config):
     recorder = RunRecorder(
         env,
         warmup=config.warmup,
-        streaming=lazy_cohort and config.concurrency >= cohort.streaming_threshold,
+        streaming=lazy_cohort and config.concurrency >= STREAMING_THRESHOLD,
     )
     mix = config.mix or FixedMix(config.response_size)
     seeds = SeedStreams(config.seed)
@@ -209,7 +210,7 @@ def build_ntier_client(config):
     recorder = RunRecorder(
         env,
         warmup=config.warmup,
-        streaming=lazy_cohort and config.users >= config.cohort.streaming_threshold,
+        streaming=lazy_cohort and config.users >= STREAMING_THRESHOLD,
         timeline_bucket=config.timeline_bucket,
     )
     seeds = SeedStreams(config.seed)

@@ -3,7 +3,7 @@
 Public surface:
 
 * :class:`~repro.sim.core.Environment` and the event/process machinery,
-* :class:`~repro.sim.resources.Resource` / ``Store`` / ``Container``,
+* :class:`~repro.sim.resources.Store`, the kernel's FIFO queue,
 * :class:`~repro.sim.rng.SeedStreams` deterministic RNG streams.
 """
 
@@ -16,7 +16,7 @@ from repro.sim.core import (
     Process,
     Timeout,
 )
-from repro.sim.resources import Container, PriorityResource, Request, Resource, Store
+from repro.sim.resources import Store
 from repro.sim.rng import SeedStreams, derive_seed
 
 __all__ = [
@@ -27,10 +27,6 @@ __all__ = [
     "Event",
     "Process",
     "Timeout",
-    "Container",
-    "PriorityResource",
-    "Request",
-    "Resource",
     "Store",
     "SeedStreams",
     "derive_seed",

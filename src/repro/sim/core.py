@@ -886,43 +886,6 @@ class Environment:
         """Virtual time of the next scheduled event (``inf`` if none)."""
         return self._queue[0][0] if self._queue else float("inf")
 
-    def step(self) -> None:
-        """Process the single next event.
-
-        Raises :class:`SimulationError` if the queue is empty, and re-raises
-        any *undefused* event failure (an exception nobody waited for).
-
-        NOTE: :meth:`run` inlines this body for speed — keep them in sync.
-        """
-        queue = self._queue
-        if not queue:
-            raise SimulationError("no scheduled events")
-        self._now, _, _, event = heappop(queue)
-        if event._cancelled:
-            # Lazily-cancelled entry: drop it, nobody is watching.
-            event._cancelled = False
-            event.callbacks = None
-            self._cancelled_entries -= 1
-            if event._poolable and len(self._timeout_pool) < _POOL_MAX:
-                self._timeout_pool.append(event)
-            return
-        self.events_processed += 1
-        callbacks = event.callbacks
-        event.callbacks = None
-        for callback in callbacks:
-            callback(event)
-        if event._poolable:
-            # Pooled timeouts always succeed; recycle object + list.
-            callbacks.clear()
-            event.callbacks = callbacks
-            if len(self._timeout_pool) < _POOL_MAX:
-                self._timeout_pool.append(event)
-        elif not event._ok and not event.defused:
-            exc = event._value
-            if isinstance(exc, BaseException):
-                raise exc
-            raise ProcessError(f"event failed with non-exception {exc!r}")
-
     def run(self, until: Any = None) -> Any:
         """Run the simulation.
 
@@ -957,10 +920,10 @@ class Environment:
             if stop_time < self._now:
                 raise ValueError(f"until={stop_time!r} is in the past (now={self._now!r})")
 
-        # Inlined step() loop (see note there): the per-event overhead of a
-        # method call plus attribute lookups is measurable at millions of
-        # events per run.  `queue` stays valid because _compact mutates the
-        # list in place.
+        # The pop loop runs on hot locals, with no per-event method call:
+        # a call plus attribute lookups is measurable at millions of events
+        # per run.  `queue` stays valid because _compact mutates the list
+        # in place.
         queue = self._queue
         pool = self._timeout_pool
         events_processed = 0

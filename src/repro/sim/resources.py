@@ -1,142 +1,19 @@
-"""Shared-resource primitives for the simulation kernel.
+"""The shared FIFO queue of the simulation kernel.
 
-Provides the classic DES coordination primitives built on
-:mod:`repro.sim.core` events:
-
-* :class:`Resource` — a capacity-limited resource with a FIFO wait queue
-  (models worker-thread pools, database connection pools, ...).
-* :class:`PriorityResource` — like :class:`Resource` but the wait queue is
-  ordered by a caller-supplied priority.
-* :class:`Store` — an unbounded (or bounded) FIFO queue of Python objects
-  with blocking ``get`` (models event queues between reactor and workers).
-* :class:`Container` — a continuous quantity with blocking ``put``/``get``
-  (models byte buffers at a coarse level).
-
-All ``request``/``get``/``put`` operations return events; processes
-``yield`` them.  :class:`Request` doubles as a context manager so the usual
-pattern reads::
-
-    with resource.request() as req:
-        yield req
-        ... # resource held
-    # released automatically
+:class:`Store` is an unbounded (or bounded) FIFO queue of Python objects
+with blocking ``get`` and ``put``, built on :mod:`repro.sim.core` events:
+the event queues between a reactor thread and its workers, a SEDA
+stage's queue, and a connection pool's idle list.  ``get``/``put``
+return events; processes ``yield`` them.
 """
 
 from __future__ import annotations
 
-import heapq
-from itertools import count
-from typing import Any, List, Optional
+from typing import Any, List
 
-from repro.errors import SimulationError
 from repro.sim.core import Environment, Event
 
-__all__ = ["Resource", "PriorityResource", "Request", "Store", "Container"]
-
-
-class Request(Event):
-    """Pending claim on a :class:`Resource` slot.
-
-    Succeeds when a slot is granted.  Usable as a context manager: exiting
-    the ``with`` block releases the slot (or cancels the claim if it was
-    never granted).
-    """
-
-    def __init__(self, resource: "Resource", priority: int = 0):
-        super().__init__(resource.env)
-        self.resource = resource
-        self.priority = priority
-        resource._submit(self)
-
-    def release(self) -> None:
-        """Release the held slot (or cancel the pending claim)."""
-        self.resource._release(self)
-
-    def __enter__(self) -> "Request":
-        return self
-
-    def __exit__(self, exc_type, exc_value, traceback) -> None:
-        self.release()
-
-
-class Resource:
-    """Capacity-limited resource with FIFO queueing.
-
-    ``capacity`` slots may be held simultaneously; further requests wait in
-    arrival order.
-    """
-
-    def __init__(self, env: Environment, capacity: int = 1):
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity!r}")
-        self.env = env
-        self.capacity = capacity
-        self.users: List[Request] = []
-        self._waiting: List[tuple] = []
-        self._seq = count()
-
-    # ------------------------------------------------------------------
-    @property
-    def count(self) -> int:
-        """Number of slots currently held."""
-        return len(self.users)
-
-    @property
-    def queue_length(self) -> int:
-        """Number of requests waiting for a slot."""
-        return len(self._waiting)
-
-    def request(self, priority: int = 0) -> Request:
-        """Claim a slot; the returned event succeeds when granted."""
-        return Request(self, priority)
-
-    # ------------------------------------------------------------------
-    def _sort_key(self, request: Request) -> tuple:
-        return (next(self._seq),)
-
-    def _submit(self, request: Request) -> None:
-        if len(self.users) < self.capacity and not self._waiting:
-            self.users.append(request)
-            request.succeed(request)
-        else:
-            heapq.heappush(self._waiting, (*self._sort_key(request), request))
-
-    def _release(self, request: Request) -> None:
-        if request in self.users:
-            self.users.remove(request)
-            self._grant_next()
-        else:
-            # Cancel a still-pending claim.
-            for i, entry in enumerate(self._waiting):
-                if entry[-1] is request:
-                    del self._waiting[i]
-                    heapq.heapify(self._waiting)
-                    break
-
-    def _grant_next(self) -> None:
-        while self._waiting and len(self.users) < self.capacity:
-            entry = heapq.heappop(self._waiting)
-            request = entry[-1]
-            if request.triggered:
-                continue  # Cancelled while queued.
-            self.users.append(request)
-            request.succeed(request)
-
-    def __repr__(self) -> str:
-        return (
-            f"<{type(self).__name__} capacity={self.capacity} "
-            f"held={self.count} waiting={self.queue_length}>"
-        )
-
-
-class PriorityResource(Resource):
-    """A :class:`Resource` whose wait queue is ordered by priority.
-
-    Lower ``priority`` values are granted first; ties break FIFO.
-    """
-
-    def _sort_key(self, request: Request) -> tuple:
-        return (request.priority, next(self._seq))
+__all__ = ["Store"]
 
 
 class StorePut(Event):
@@ -228,77 +105,3 @@ class Store:
 
     def __repr__(self) -> str:
         return f"<Store size={self.size} getters={len(self._getters)} putters={len(self._putters)}>"
-
-
-class ContainerPut(Event):
-    """Pending ``put`` of ``amount`` units into a :class:`Container`."""
-
-    def __init__(self, container: "Container", amount: float):
-        if amount <= 0:
-            raise ValueError(f"amount must be > 0, got {amount!r}")
-        super().__init__(container.env)
-        self.amount = amount
-        container._putters.append(self)
-        container._drain()
-
-
-class ContainerGet(Event):
-    """Pending ``get`` of ``amount`` units from a :class:`Container`."""
-
-    def __init__(self, container: "Container", amount: float):
-        if amount <= 0:
-            raise ValueError(f"amount must be > 0, got {amount!r}")
-        super().__init__(container.env)
-        self.amount = amount
-        container._getters.append(self)
-        container._drain()
-
-
-class Container:
-    """A continuous quantity (e.g. bytes, tokens) between 0 and ``capacity``.
-
-    ``get`` blocks until the requested amount is available; ``put`` blocks
-    until it fits under ``capacity``.
-    """
-
-    def __init__(self, env: Environment, capacity: float = float("inf"), init: float = 0.0):
-        if capacity <= 0:
-            raise ValueError(f"capacity must be > 0, got {capacity!r}")
-        if not 0 <= init <= capacity:
-            raise ValueError(f"init={init!r} outside [0, {capacity!r}]")
-        self.env = env
-        self.capacity = capacity
-        self._level = float(init)
-        self._putters: List[ContainerPut] = []
-        self._getters: List[ContainerGet] = []
-
-    @property
-    def level(self) -> float:
-        """Current stored amount."""
-        return self._level
-
-    def put(self, amount: float) -> ContainerPut:
-        """Add ``amount`` units (blocks while it would exceed capacity)."""
-        return ContainerPut(self, amount)
-
-    def get(self, amount: float) -> ContainerGet:
-        """Remove ``amount`` units (blocks until available)."""
-        return ContainerGet(self, amount)
-
-    def _drain(self) -> None:
-        progress = True
-        while progress:
-            progress = False
-            if self._putters and self._level + self._putters[0].amount <= self.capacity:
-                put = self._putters.pop(0)
-                self._level += put.amount
-                put.succeed()
-                progress = True
-            if self._getters and self._getters[0].amount <= self._level:
-                get = self._getters.pop(0)
-                self._level -= get.amount
-                get.succeed(get.amount)
-                progress = True
-
-    def __repr__(self) -> str:
-        return f"<Container level={self._level!r}/{self.capacity!r}>"

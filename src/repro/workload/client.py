@@ -177,7 +177,6 @@ class ClosedLoopClient:
         budget=None,
         deadline: Optional[float] = None,
         stop_after: Optional[int] = None,
-        counters=None,
     ):
         self.env = env
         self.connection = connection
@@ -194,9 +193,6 @@ class ClosedLoopClient:
         self.stop_after = stop_after
         if stop_after is not None and stop_after < 1:
             raise WorkloadError(f"stop_after must be >= 1, got {stop_after!r}")
-        #: Duck-typed shared counter sink (``PopulationCounters``): lets
-        #: the population report completions without sweeping N clients.
-        self.counters = counters
         self._logical_done = 0
         self.retry = retry
         self.reconnect = reconnect
@@ -234,8 +230,6 @@ class ClosedLoopClient:
             self.connection.send_request(request)
             yield request.completed
             self.requests_completed += 1
-            if self.counters is not None:
-                self.counters.completed += 1
             if self.recorder is not None:
                 self.recorder.record(request)
             if self.stop_after is not None and self.requests_completed >= self.stop_after:
@@ -341,8 +335,6 @@ class ClosedLoopClient:
                         # Success: the full response reached this client.
                         self.stats.successes += 1
                         self.requests_completed += 1
-                        if self.counters is not None:
-                            self.counters.completed += 1
                         if self.recorder is not None:
                             self.recorder.record(request)
                         return True

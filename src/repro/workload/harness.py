@@ -26,6 +26,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
 
+from repro.cohort.config import STREAMING_THRESHOLD
 from repro.faults import FaultInjector, FaultReport
 from repro.metrics.collector import RunRecorder, RunReport
 from repro.resilience import RetryBudget
@@ -126,7 +127,7 @@ def run_system(config, env, system, size, mix, link, think, options,
         env,
         warmup=config.warmup,
         # Bounded-heap measurement for bounded-heap populations.
-        streaming=lazy_cohort and size >= cohort.streaming_threshold,
+        streaming=lazy_cohort and size >= STREAMING_THRESHOLD,
         timeline_bucket=timeline_bucket,
     )
     recorder.watch_cpu(system.app_cpu)

@@ -14,14 +14,12 @@ arrivals that find every connection busy are counted as ``shed``).
 from __future__ import annotations
 
 import random
-from typing import Callable, List, Optional
+from typing import List, Optional
 
 from repro.errors import WorkloadError
 from repro.metrics.collector import RunRecorder
-from repro.net.messages import Request
 from repro.net.tcp import Connection
 from repro.sim.core import Environment
-from repro.workload.client import RetryPolicy
 from repro.workload.mixes import RequestMix
 
 __all__ = ["OpenLoopGenerator"]
@@ -30,12 +28,8 @@ __all__ = ["OpenLoopGenerator"]
 class OpenLoopGenerator:
     """Poisson arrivals at ``rate`` requests/second over a connection pool.
 
-    With a :class:`~repro.workload.client.RetryPolicy` each issued request
-    gets a supervisor: a response that misses the timeout closes its
-    connection (replaced via the ``connect`` factory when given), and the
-    request is re-issued on another idle connection with jittered back-off
-    up to ``max_retries`` times.  Without a policy the generator behaves
-    exactly as before — fire and wait, no timers.
+    Fire and wait: each issued request holds its connection until the
+    response completes, with no timers.
     """
 
     def __init__(
@@ -47,10 +41,6 @@ class OpenLoopGenerator:
         rng: random.Random,
         recorder: Optional[RunRecorder] = None,
         name: str = "openloop",
-        retry: Optional[RetryPolicy] = None,
-        connect: Optional[Callable[[], Connection]] = None,
-        budget=None,
-        deadline: Optional[float] = None,
     ):
         if rate <= 0:
             raise WorkloadError(f"arrival rate must be > 0, got {rate!r}")
@@ -63,24 +53,10 @@ class OpenLoopGenerator:
         self.rng = rng
         self.recorder = recorder
         self.name = name
-        self.retry = retry
-        self.connect = connect
-        #: Shared :class:`repro.resilience.RetryBudget` (duck-typed); when
-        #: set, each retry must win a token or the request is abandoned.
-        self.budget = budget
-        if deadline is not None and deadline <= 0:
-            raise WorkloadError(f"deadline must be > 0, got {deadline!r}")
-        #: Per-request deadline in seconds, stamped as an absolute time on
-        #: every issued request (shared across its retries).
-        self.deadline = deadline
         #: Arrivals that found every connection busy.
         self.shed = 0
         #: Requests issued.
         self.issued = 0
-        #: Attempts that exceeded the retry timeout.
-        self.timeouts = 0
-        #: Requests abandoned after exhausting retries.
-        self.failed = 0
         self._busy = set()
         self._next_index = 0
         self.process = env.process(self._run(), name=name)
@@ -104,89 +80,17 @@ class OpenLoopGenerator:
                 self.shed += 1
                 continue
             request = self.mix.sample(self.env, self.rng)
-            if self.deadline is not None:
-                request.deadline = self.env.now + self.deadline
-            if self.budget is not None:
-                self.budget.on_request()
             self._busy.add(connection)
             self.issued += 1
-            if self.retry is None:
-                request.completed.callbacks.append(
-                    lambda _ev, c=connection, r=request: self._on_complete(c, r)
-                )
-                connection.send_request(request)
-            else:
-                connection.send_request(request)
-                self.env.process(
-                    self._supervise(connection, request, attempt=1),
-                    name=f"{self.name}-watch{self.issued}",
-                )
+            request.completed.callbacks.append(
+                lambda _ev, c=connection, r=request: self._on_complete(c, r)
+            )
+            connection.send_request(request)
 
     def _on_complete(self, connection: Connection, request) -> None:
         self._busy.discard(connection)
         if self.recorder is not None:
             self.recorder.record(request)
-
-    # ------------------------------------------------------------------
-    # Retry supervision (only spawned when a RetryPolicy is configured)
-    # ------------------------------------------------------------------
-    def _replace(self, connection: Connection) -> None:
-        """Swap a dead pool connection for a fresh one (if we know how)."""
-        if self.connect is None:
-            return
-        try:
-            slot = self.connections.index(connection)
-        except ValueError:
-            return
-        self.connections[slot] = self.connect()
-
-    def _supervise(self, connection: Connection, request: Request, attempt: int):
-        """Watch one attempt; on timeout, replace the connection and retry."""
-        policy = self.retry
-        wait = policy.timeout
-        if request.deadline is not None:
-            wait = min(wait, max(request.deadline - self.env.now, 0.0))
-        timer = self.env.timeout(wait)
-        yield self.env.any_of([request.completed, connection.on_close, timer])
-        if request.completed.triggered:
-            self._on_complete(connection, request)
-            return
-        if timer.triggered and not connection.closed:
-            self.timeouts += 1
-        connection.close()
-        self._busy.discard(connection)
-        self._replace(connection)
-        expired = request.deadline is not None and self.env.now >= request.deadline
-        if (
-            attempt > policy.max_retries
-            or expired
-            or (self.budget is not None and not self.budget.try_spend())
-        ):
-            self.failed += 1
-            if self.recorder is not None:
-                self.recorder.record_failure(request)
-            return
-        backoff = policy.backoff(attempt, self.rng)
-        if backoff > 0:
-            yield self.env.timeout(backoff)
-        fresh_conn = self._pick_connection()
-        if fresh_conn is None:
-            # Every connection busy at retry time: the attempt is shed.
-            self.shed += 1
-            self.failed += 1
-            if self.recorder is not None:
-                self.recorder.record_failure(request)
-            return
-        fresh = Request(
-            self.env,
-            kind=request.kind,
-            response_size=request.response_size,
-            request_size=request.request_size,
-            deadline=request.deadline,
-        )
-        self._busy.add(fresh_conn)
-        fresh_conn.send_request(fresh)
-        yield from self._supervise(fresh_conn, fresh, attempt + 1)
 
     @property
     def in_flight(self) -> int:

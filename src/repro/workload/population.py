@@ -14,12 +14,15 @@ Two construction strategies exist:
   (``CohortConfig(materialize="lazy")``) — counting state plus a bounded
   connection bundle, for populations far beyond what per-object
   simulation can hold.
+
+Either way the built population answers the two questions a run asks
+after ``env.run``: ``client_stat_totals()`` and ``cohort_stats()``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Union
 
 from repro.calibration import Calibration
 from repro.cohort.config import CohortConfig
@@ -38,10 +41,12 @@ from repro.workload.client import (
 )
 from repro.workload.mixes import RequestMix
 
+if TYPE_CHECKING:
+    from repro.cohort.engine import Cohort
+
 __all__ = [
     "ConnectionOptions",
     "Population",
-    "PopulationCounters",
     "build_population",
 ]
 
@@ -56,37 +61,12 @@ class ConnectionOptions:
     autotune: bool = False
 
 
-class PopulationCounters:
-    """Streaming population totals, bumped at completion time.
-
-    End-of-run reporting reads one integer instead of walking a
-    million-entry client list per call.
-    """
-
-    __slots__ = ("completed",)
-
-    def __init__(self) -> None:
-        self.completed = 0
-
-
 @dataclass
 class Population:
-    """A built client population."""
+    """A built classic population: one client and connection per member."""
 
     clients: List[ClosedLoopClient]
     connections: List[Connection]
-    recorder: Optional[RunRecorder]
-    counters: Optional[PopulationCounters] = None
-
-    @property
-    def size(self) -> int:
-        return len(self.clients)
-
-    @property
-    def completed_requests(self) -> int:
-        if self.counters is not None:
-            return self.counters.completed
-        return sum(c.requests_completed for c in self.clients)
 
     def client_stat_totals(self) -> Dict[str, float]:
         """Summed :class:`ClientStats` counters in one pass over clients."""
@@ -120,7 +100,7 @@ def build_population(
     deadline: Optional[float] = None,
     cohort: Optional[CohortConfig] = None,
     connect=None,
-) -> "Union[Population, CohortPopulation]":
+) -> "Union[Population, Cohort]":
     """Create ``size`` closed-loop clients against ``server``.
 
     Clients are staggered uniformly over ``ramp_up`` virtual seconds so
@@ -140,9 +120,9 @@ def build_population(
     carries an absolute deadline that downstream tiers honour.
 
     ``cohort`` selects the aggregate engine: with ``materialize="lazy"``
-    a :class:`CohortPopulation` is returned instead of N live clients;
-    ``materialize="always"`` falls back to the classic builder here, so
-    the same scenario runs on either machinery.
+    the :class:`~repro.cohort.engine.Cohort` itself is returned instead of
+    N live clients; ``materialize="always"`` falls back to the classic
+    builder here, so the same scenario runs on either machinery.
 
     ``connect`` overrides the connection factory (``connect(index)`` →
     connection-like object): the sharded kernel supplies one returning a
@@ -161,9 +141,9 @@ def build_population(
             # Imported here, not at module top: the engine itself imports
             # repro.workload (clients, mixes), so a top-level import would
             # be circular through the package __init__.
-            from repro.cohort.engine import Cohort, CohortPopulation
+            from repro.cohort.engine import Cohort
 
-            aggregate = Cohort(
+            return Cohort(
                 env,
                 server,
                 size,
@@ -182,12 +162,8 @@ def build_population(
                 deadline=deadline,
                 connect=connect,
             )
-            return CohortPopulation(cohorts=[aggregate], recorder=recorder)
 
-    counters = PopulationCounters()
-    population = Population(
-        clients=[], connections=[], recorder=recorder, counters=counters
-    )
+    population = Population(clients=[], connections=[])
 
     def _connect(index: int) -> Connection:
         if connect is not None:
@@ -233,7 +209,6 @@ def build_population(
             faults=faults.for_client(index) if faults is not None else None,
             budget=budget,
             deadline=deadline,
-            counters=counters,
         )
         population.clients.append(client)
         population.connections.append(connection)

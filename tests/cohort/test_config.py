@@ -18,9 +18,6 @@ def test_default_config_validates():
     [
         {"materialize": "sometimes"},
         {"max_inflight": 0},
-        {"ramp_slices": 0},
-        {"episode_requests": 0},
-        {"streaming_threshold": 0},
     ],
 )
 def test_invalid_config_rejected(kwargs):

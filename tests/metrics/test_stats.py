@@ -191,25 +191,23 @@ def test_make_stats_factory():
     assert isinstance(make_stats(True), StreamingStats)
 
 
-def test_streaming_recorder_end_to_end():
+def test_streaming_recorder_end_to_end(monkeypatch):
     """RunRecorder(streaming=True) produces a close-to-exact report.
 
-    A lazy cohort at its ``streaming_threshold`` switches the recorder to
-    streaming; the threshold changes nothing else about the run.
+    A lazy cohort at ``STREAMING_THRESHOLD`` members switches the recorder
+    to streaming; the threshold changes nothing else about the run.
     """
-    from dataclasses import replace
-
     from repro.cohort import CohortConfig
     from repro.experiments.micro import MicroConfig, run_micro
+    from repro.workload import harness
 
     config = MicroConfig(
-        "SingleT-Async", 8, duration=0.3, warmup=0.1,
-        cohort=CohortConfig(streaming_threshold=9),
+        "SingleT-Async", 8, duration=0.3, warmup=0.1, cohort=CohortConfig(),
     )
+    monkeypatch.setattr(harness, "STREAMING_THRESHOLD", 9)
     exact = run_micro(config).report
-    streaming = run_micro(
-        replace(config, cohort=CohortConfig(streaming_threshold=8))
-    ).report
+    monkeypatch.setattr(harness, "STREAMING_THRESHOLD", 8)
+    streaming = run_micro(config).report
     assert streaming.completed == exact.completed
     assert streaming.throughput == pytest.approx(exact.throughput)
     assert streaming.response_time_mean == pytest.approx(exact.response_time_mean)

@@ -1,8 +1,7 @@
-"""Environment.run/step/peek semantics and determinism."""
+"""Environment.run/peek semantics and determinism."""
 
 import pytest
 
-from repro.errors import SimulationError
 from repro.sim.core import PRIORITY_URGENT, Environment
 
 
@@ -58,11 +57,6 @@ def test_run_until_event_unhooks_when_queue_drains(env):
     assert log == [2.0]
     assert env.now == 5.0
     assert env.peek() == float("inf")
-
-
-def test_step_empty_queue_raises(env):
-    with pytest.raises(SimulationError):
-        env.step()
 
 
 def test_peek_returns_next_event_time(env):

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim.core import Environment
-from repro.sim.resources import Resource, Store
+from repro.sim.resources import Store
 
 
 @given(delays=st.lists(st.floats(min_value=0.0, max_value=100.0), min_size=1, max_size=40))
@@ -33,34 +33,6 @@ def test_every_process_completes_and_clock_is_final_max(delays):
     env.run()
     assert all(not p.is_alive for p in procs)
     assert [p.value for p in procs] == delays
-
-
-@given(
-    capacity=st.integers(min_value=1, max_value=5),
-    holds=st.lists(st.floats(min_value=0.01, max_value=5.0), min_size=1, max_size=25),
-)
-@settings(max_examples=50, deadline=None)
-def test_resource_never_exceeds_capacity_and_serves_everyone(capacity, holds):
-    env = Environment()
-    resource = Resource(env, capacity=capacity)
-    peak = [0]
-    served = []
-
-    def worker(env, resource, hold, i):
-        with resource.request() as req:
-            yield req
-            peak[0] = max(peak[0], resource.count)
-            yield env.timeout(hold)
-        served.append(i)
-
-    for i, hold in enumerate(holds):
-        env.process(worker(env, resource, hold, i))
-    env.run()
-    assert peak[0] <= capacity
-    assert sorted(served) == list(range(len(holds)))
-    # Work-conserving lower/upper bounds on the makespan.
-    assert env.now >= max(holds) - 1e-9
-    assert env.now <= sum(holds) + 1e-9
 
 
 @given(items=st.lists(st.integers(), min_size=1, max_size=50))

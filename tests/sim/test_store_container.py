@@ -1,8 +1,8 @@
-"""Store and Container semantics."""
+"""Store semantics."""
 
 import pytest
 
-from repro.sim.resources import Container, Store
+from repro.sim.resources import Store
 
 
 def test_store_fifo_order(env):
@@ -70,38 +70,3 @@ def test_store_interleaved_producers_consumers(env):
     env.process(consumer(env, store))
     env.run()
     assert consumed == [(float(i + 1), i) for i in range(5)]
-
-
-def test_container_initial_level_validation(env):
-    with pytest.raises(ValueError):
-        Container(env, capacity=10, init=20)
-    with pytest.raises(ValueError):
-        Container(env, capacity=0)
-
-
-def test_container_get_blocks_until_enough(env):
-    container = Container(env, capacity=100, init=0)
-    get = container.get(10)
-    assert not get.triggered
-    container.put(5)
-    assert not get.triggered
-    container.put(5)
-    assert get.triggered
-    assert container.level == 0
-
-
-def test_container_put_blocks_at_capacity(env):
-    container = Container(env, capacity=10, init=8)
-    put = container.put(5)
-    assert not put.triggered
-    container.get(5)
-    assert put.triggered
-    assert container.level == 8
-
-
-def test_container_rejects_nonpositive_amounts(env):
-    container = Container(env, capacity=10)
-    with pytest.raises(ValueError):
-        container.put(0)
-    with pytest.raises(ValueError):
-        container.get(-1)

@@ -54,3 +54,23 @@ def test_keeps_the_speed_records(assembler):
     committed = (ROOT / "EXPERIMENTS.md").read_text(encoding="utf-8")
     records = committed[committed.index("### Simulator speed records"):]
     assert text.endswith("### shard: islands\n\n---\n\n" + records)
+
+
+def test_keeps_sections_it_did_not_regenerate(assembler, capsys):
+    """A partial benchmark run replaces only what it regenerated: every
+    other artifact keeps its current EXPERIMENTS.md section."""
+    assembler.OUTPUT.write_text(
+        assembler.PREAMBLE.format(scale="0.5")
+        + "### fig1: rubbos\n\nold fig1 rows\n\n"
+        + "### fig7: latency\n\nold fig7 rows\n\n---\n\n"
+        + "### Simulator speed records\n\nold records\n",
+        encoding="utf-8",
+    )
+    assembler.GENERATED.mkdir()
+    (assembler.GENERATED / "fig7.md").write_text("### fig7: latency\n\nnew fig7 rows\n")
+    assert assembler.main() == 0
+    text = assembler.OUTPUT.read_text(encoding="utf-8")
+    assert "### fig1: rubbos\n\nold fig1 rows\n\n### fig7: latency\n\nnew fig7 rows\n" in text
+    assert "old fig7 rows" not in text
+    assert "old records" not in text
+    assert "kept the current EXPERIMENTS.md sections for fig1" in capsys.readouterr().err

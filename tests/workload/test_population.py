@@ -30,10 +30,10 @@ def test_size_validation(env, cpu, lan, calib):
 
 def test_population_wires_clients_and_connections(env, cpu, lan, calib):
     population = build(env, cpu, lan, calib, size=6)
-    assert population.size == 6
+    assert len(population.clients) == 6
     assert len(population.connections) == 6
     env.run(until=0.01)
-    assert population.completed_requests > 0
+    assert sum(c.requests_completed for c in population.clients) > 0
 
 
 def test_connection_options_applied(env, cpu, lan, calib):

@@ -15,7 +15,6 @@ from repro.servers.base import ServerLimits
 from repro.servers.threaded import ThreadedServer
 from repro.workload.client import ClosedLoopClient, RetryPolicy
 from repro.workload.mixes import FixedMix
-from repro.workload.openloop import OpenLoopGenerator
 
 FAST_RETRY = RetryPolicy(timeout=0.01, max_retries=2, backoff_base=0.001, jitter=0.0)
 
@@ -295,35 +294,3 @@ def test_deadline_shorter_than_timeout_fails_without_spending_budget(
     assert client.stats.retries == 0
     assert budget.granted == 0
     assert budget.denied == 0  # refused by the deadline, not the bucket
-
-
-# ----------------------------------------------------------------------
-# Open-loop retry supervision
-# ----------------------------------------------------------------------
-def test_openloop_without_policy_never_times_out(env, make_connection):
-    generator = OpenLoopGenerator(
-        env, [make_connection()], FixedMix(100), rate=500.0, rng=random.Random(0)
-    )
-    env.run(until=0.05)
-    assert generator.issued > 0
-    assert generator.timeouts == 0
-    assert generator.failed == 0
-
-
-def test_openloop_supervisor_retries_then_fails(env, make_connection):
-    # Unserved connections: every attempt times out.
-    recorder = RunRecorder(env, warmup=0.0)
-    generator = OpenLoopGenerator(
-        env,
-        [make_connection() for _ in range(4)],
-        FixedMix(100),
-        rate=100.0,
-        rng=random.Random(0),
-        recorder=recorder,
-        retry=FAST_RETRY,
-        connect=lambda: make_connection(),
-    )
-    env.run(until=0.2)
-    assert generator.timeouts > 0
-    assert generator.failed > 0
-    assert recorder.failed == generator.failed
