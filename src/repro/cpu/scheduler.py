@@ -106,17 +106,23 @@ class _Core:
                 burst.token[0] = None
                 burst.token = None
                 cpu._queued -= 1
-                self.busy = True
+                if not self.busy:
+                    self.busy = True
+                    cpu._busy_cores += 1
                 self.burst = burst
                 self.run_quantum()
                 return
 
         burst = cpu._pop_ready()
         if burst is None:
-            self.busy = False
+            if self.busy:
+                self.busy = False
+                cpu._busy_cores -= 1
             cpu._idle_cores.append(self)
             return
-        self.busy = True
+        if not self.busy:
+            self.busy = True
+            cpu._busy_cores += 1
         self.burst = burst
         calib = cpu.calibration
         if self.last_thread is not burst.thread:
@@ -282,6 +288,8 @@ class CPU:
         self.slowdown = 1.0
         self._ready: Deque[_Burst] = deque()
         self._queued = 0
+        #: Cores with ``busy`` set, kept where ``_Core.dispatch`` flips it.
+        self._busy_cores = 0
         self._cores: List[_Core] = [_Core(self) for _ in range(self.cores)]
         self._idle_cores: List[_Core] = []
         for core in self._cores:
@@ -317,7 +325,7 @@ class CPU:
     @property
     def runnable_count(self) -> int:
         """Bursts ready or running right now."""
-        return self._queued + sum(1 for c in self._cores if c.busy)
+        return self._queued + self._busy_cores
 
     def snapshot(self) -> CPUSnapshot:
         """Capture counters at the current virtual time."""

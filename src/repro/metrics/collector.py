@@ -85,8 +85,10 @@ class RunRecorder:
         #: The default keeps raw samples for exact percentiles.
         self.streaming = streaming
         self.response_times = make_stats(streaming)
-        self.write_calls = make_stats(streaming)
-        self.zero_writes = make_stats(streaming)
+        # The report reads only means of these and of the per-kind stats,
+        # so a streaming recorder keeps no quantile estimators for them.
+        self.write_calls = make_stats(streaming, quantiles=())
+        self.zero_writes = make_stats(streaming, quantiles=())
         self._per_kind: Dict[str, object] = {}
         self._cpu: Optional[CPU] = None
         self._cpu_start: Optional[CPUSnapshot] = None
@@ -155,7 +157,9 @@ class RunRecorder:
         self.zero_writes.add(request.zero_writes)
         kind_stats = self._per_kind.get(request.kind)
         if kind_stats is None:
-            kind_stats = self._per_kind[request.kind] = make_stats(self.streaming)
+            kind_stats = self._per_kind[request.kind] = make_stats(
+                self.streaming, quantiles=()
+            )
         kind_stats.add(rt)
 
     def timeline(self) -> "tuple":

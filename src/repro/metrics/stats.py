@@ -332,9 +332,18 @@ class StreamingStats:
     def __repr__(self) -> str:
         if not self._count:
             return "<StreamingStats empty>"
-        return f"<StreamingStats n={self.count} mean={self.mean:.6g} p99~={self.p99:.6g}>"
+        p99 = f" p99~={self.p99:.6g}" if 99.0 in self._quantiles else ""
+        return f"<StreamingStats n={self.count} mean={self.mean:.6g}{p99}>"
 
 
-def make_stats(streaming: bool = False, values: Iterable[float] = ()):
-    """Factory: the exact sampler by default, the P² one on request."""
-    return StreamingStats(values) if streaming else SummaryStats(values)
+def make_stats(
+    streaming: bool = False,
+    values: Iterable[float] = (),
+    quantiles: Iterable[float] = StreamingStats.DEFAULT_QUANTILES,
+):
+    """Factory: the exact sampler by default, the P² one on request.
+
+    ``quantiles`` names the percentiles a streaming sampler can answer;
+    ``()`` keeps only its exact moments.  The exact sampler answers any.
+    """
+    return StreamingStats(values, quantiles) if streaming else SummaryStats(values)

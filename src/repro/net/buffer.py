@@ -91,7 +91,10 @@ class SendBuffer:
         """
         if nbytes < 0:
             raise BufferError_(f"cannot reserve a negative byte count ({nbytes})")
-        accepted = min(nbytes, self.free)
+        free = self._capacity - self._used
+        if free < 0:
+            free = 0
+        accepted = nbytes if nbytes < free else free
         self._used += accepted
         return accepted
 
@@ -119,7 +122,7 @@ class SendBuffer:
         here after close would otherwise sleep forever — the waker must
         observe the connection's closed state and unwind.
         """
-        if self._closed or self.free > 0:
+        if self._closed or self._used < self._capacity:
             callback()
         else:
             self._space_waiters.append(callback)
@@ -136,7 +139,7 @@ class SendBuffer:
         wake-up (and therefore event-scheduling) order is registration
         order regardless of kind.
         """
-        if self._closed or self.free > 0:
+        if self._closed or self._used < self._capacity:
             event.succeed()
         else:
             self._space_waiters.append(event)

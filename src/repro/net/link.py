@@ -57,12 +57,13 @@ class Link:
         Returns ``(new_wire_free_at, delivery_delay)`` for a chunk handed
         to the link at ``now`` when the wire is busy until ``wire_free_at``:
         the chunk departs once the wire frees, serialises at line rate, and
-        lands one propagation delay later.  Both the segment-level pump and
-        the flow-level fast path in :mod:`repro.net.tcp` route their
-        delivery arithmetic through this one method so the two paths
-        compute timestamps with literally the same float expressions — the
-        bit-identical-digest contract depends on the operation order here,
-        so do not algebraically "simplify" it.
+        lands one propagation delay later.  The segment-level pump and the
+        general planner of the flow-level fast path in :mod:`repro.net.tcp`
+        call this method; the short branch of ``Connection._fp_extend``
+        repeats its expressions inline.  The bit-identical-digest contract
+        needs all of them to compute timestamps with literally the same
+        float expressions, so change this method and that inline copy
+        together, and do not algebraically "simplify" either.
         """
         serialization = nbytes / self.bandwidth
         depart = now if now > wire_free_at else wire_free_at
@@ -71,7 +72,7 @@ class Link:
 
     def transfer_delay(self, nbytes: int) -> float:
         """One-way delivery time for a message of ``nbytes``."""
-        return self.one_way_latency + self.serialization_delay(nbytes)
+        return self.one_way_latency + nbytes / self.bandwidth
 
     @property
     def rtt(self) -> float:

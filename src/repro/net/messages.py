@@ -27,7 +27,7 @@ class Request:
     kind: str
     response_size: int
     request_size: int = 512
-    id: int = field(default_factory=lambda: next(_request_ids))
+    id: int = field(default_factory=_request_ids.__next__)
     created_at: float = 0.0
     #: Set by the server when a worker first picks the request up.
     service_started_at: Optional[float] = None
@@ -51,9 +51,9 @@ class Request:
             raise ValueError(f"response_size must be >= 0, got {self.response_size!r}")
         if self.request_size < 1:
             raise ValueError(f"request_size must be >= 1, got {self.request_size!r}")
-        self.created_at = self.env.now
+        self.created_at = self.env._now
         if self.completed is None:
-            self.completed = self.env.event()
+            self.completed = Event(self.env)
 
     @property
     def response_time(self) -> Optional[float]:

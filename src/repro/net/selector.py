@@ -61,7 +61,7 @@ class Selector:
             raise NetworkError(f"invalid interest mask {events!r}")
         self._interest[connection] = events
         if self._poll_outstanding():
-            if self._readiness(connection):
+            if self._ready_among((connection,)):
                 self._complete_poll()
             else:
                 self._watch(connection, events)
@@ -87,27 +87,34 @@ class Selector:
     # ------------------------------------------------------------------
     # Readiness
     # ------------------------------------------------------------------
-    def _readiness(self, connection: Connection) -> int:
-        if connection.closed:
-            # A closed fd reports nothing; lazily drop it from the set.
-            self._interest.pop(connection, None)
-            return 0
-        interest = self._interest.get(connection, 0)
-        ready = 0
-        if interest & EVENT_READ and connection.readable:
-            ready |= EVENT_READ
-        if interest & EVENT_WRITE and connection.writable:
-            ready |= EVENT_WRITE
-        return ready
-
     def ready_list(self) -> List[Tuple[Connection, int]]:
         """Connections ready right now, with their readiness masks."""
+        # Copy: closed connections are dropped from the set mid-scan.
+        return self._ready_among(list(self._interest))
+
+    def _ready_among(self, connections) -> List[Tuple[Connection, int]]:
+        """The ready ``(connection, mask)`` pairs among ``connections``.
+
+        One call however many connections it checks: the read check reads
+        the inbox directly, and only a write check calls into the
+        connection.
+        """
         out = []
-        # Copy: _readiness lazily drops closed connections from the set.
-        for connection in list(self._interest):
-            mask = self._readiness(connection)
-            if mask:
-                out.append((connection, mask))
+        interests = self._interest
+        for connection in connections:
+            if connection.closed:
+                # A closed fd reports nothing; lazily drop it from the set.
+                interests.pop(connection, None)
+                continue
+            # Read when the connection is checked: a write check advances
+            # a TCP plan, whose release can run watcher callbacks that
+            # change the interest set mid-scan.
+            interest = interests.get(connection, 0)
+            ready = EVENT_READ if interest & EVENT_READ and connection.inbox else 0
+            if interest & EVENT_WRITE and connection.writable:
+                ready |= EVENT_WRITE
+            if ready:
+                out.append((connection, ready))
         return out
 
     # ------------------------------------------------------------------
@@ -135,8 +142,13 @@ class Selector:
         return self._pending_poll is not None and not self._pending_poll.triggered
 
     def _arm_all(self) -> None:
+        armed = self._armed
         for connection, interest in list(self._interest.items()):
-            self._watch(connection, interest)
+            # Pairs armed already need no _watch call.
+            if (interest & EVENT_READ and (connection, EVENT_READ) not in armed) or (
+                interest & EVENT_WRITE and (connection, EVENT_WRITE) not in armed
+            ):
+                self._watch(connection, interest)
 
     def _watch(self, connection: Connection, interest: int) -> None:
         """Arm one-shot readiness watchers, deduplicated per connection."""

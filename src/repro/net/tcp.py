@@ -45,15 +45,26 @@ timestamps.  Only **boundary events** reach the scheduler:
 
 All other effects (byte attribution, cwnd growth, buffer release, stats
 counters) are applied lazily by ``_fp_advance`` whenever simulated state
-is observed.  Timestamps replicate the segment path's float arithmetic
-expression-for-expression, so every observable — ``TCPStats`` counters,
-report floats, event ordering — is bit-identical; the golden-digest matrix
-in ``tests/test_kernel_determinism_golden.py`` pins that contract.  The
-fast path self-disables per connection when faults are attached, when
-autotuning is on, when bytes are written with no open transfer to
-attribute them to (``_fp_materialize``), and at ``close()``; the
-``REPRO_TCP_FASTPATH=0`` environment kill-switch disables it globally for
-one-run bisection.
+is observed; the entry points skip the call while ``env.now`` is before
+``_fp_next``, the earliest pending plan entry.  Timestamps replicate the
+segment path's float arithmetic expression-for-expression (the general
+planner through ``Link.chunk_schedule``, the short branch of
+``_fp_extend`` with its expressions inline), so every observable —
+``TCPStats`` counters, report floats, event ordering — is bit-identical;
+the golden-digest matrix in ``tests/test_kernel_determinism_golden.py``
+pins that contract.  The fast path self-disables per connection when
+faults are attached, when autotuning is on, when bytes are written with
+no open transfer to attribute them to (``_fp_materialize``), and at
+``close()``; the ``REPRO_TCP_FASTPATH=0`` environment kill-switch disables
+it globally for one-run bisection.
+
+Per-response path
+-----------------
+A light response makes 19 calls into :mod:`repro.net`, pinned by
+``tests/net/test_call_counts.py``: the write entry points do the closed
+check and the idle-restart check inline and skip ``_fp_advance`` while
+nothing is due; ``_fp_extend`` plans the common write (nothing planned
+ahead, cwnd sends it all at once) on a short branch.
 """
 
 from __future__ import annotations
@@ -141,7 +152,7 @@ class ResponseTransfer:
         self.total = total
         self.delivered = 0
         self.done = env.event()
-        self.started_at = env.now
+        self.started_at = env._now
         self.completed_at: Optional[float] = None
 
     @property
@@ -278,14 +289,14 @@ class Connection:
     @property
     def stats(self) -> TCPStats:
         """Per-connection counters (current as of ``env.now``)."""
-        if self._fp_active:
+        if self.env._now >= self._fp_next:
             self._fp_advance()
         return self._stats
 
     @property
     def cwnd(self) -> int:
         """Current congestion window in bytes."""
-        if self._fp_active:
+        if self.env._now >= self._fp_next:
             self._fp_advance()
         return self._cwnd
 
@@ -294,14 +305,15 @@ class Connection:
         """Bytes acknowledged per ACK (delayed-ACK granularity)."""
         return self._ack_granularity
 
-    def _record_send_activity(self) -> None:
-        now = self.env.now
-        if now - self._last_activity > IDLE_RESET_THRESHOLD:
-            # Linux tcp_slow_start_after_idle: restart from the initial window.
-            self._cwnd = self._initial_cwnd_bytes()
-            self._stats.idle_resets += 1
-            self._retune_buffer()
-        self._last_activity = now
+    def _idle_restart(self) -> None:
+        """Linux tcp_slow_start_after_idle: restart from the initial window.
+
+        The writers call this when the gap since the last send activity
+        exceeds :data:`IDLE_RESET_THRESHOLD`, then stamp the activity.
+        """
+        self._cwnd = self._initial_cwnd_bytes()
+        self._stats.idle_resets += 1
+        self._retune_buffer()
 
     def _retune_buffer(self) -> None:
         """Kernel send-buffer autotuning: track ~2x cwnd (BDP heuristic).
@@ -324,7 +336,8 @@ class Connection:
     def send_request(self, request: Request) -> None:
         """Client sends ``request``; it arrives at the server one
         transfer-delay later and becomes readable."""
-        self._check_open()
+        if self.closed:
+            raise self._closed_error()
         delay = self.link.transfer_delay(request.request_size)
         # Pooled timer carrying the request as its value: the bound-method
         # callback replaces a per-request closure (safe: nothing retains
@@ -345,7 +358,8 @@ class Connection:
             return
         self.inbox.append(request)
         self._stats.requests_received += 1
-        self._notify_readable()
+        if self._readable_watchers:
+            self._notify_readable()
 
     # ------------------------------------------------------------------
     # Server side: read requests
@@ -358,9 +372,10 @@ class Connection:
     @property
     def writable(self) -> bool:
         """True when the send buffer has free space."""
-        if self._fp_active:
+        if self.env._now >= self._fp_next:
             self._fp_advance()
-        return self.buffer.free > 0
+        buffer = self.buffer
+        return buffer._used < buffer._capacity
 
     def read_request(self) -> Optional[Request]:
         """Pop the oldest pending request (``None`` if the inbox is empty).
@@ -368,10 +383,12 @@ class Connection:
         The caller is responsible for charging the read syscall to a
         thread (see :meth:`SimThread.syscall`).
         """
-        self._check_open()
-        if not self.inbox:
+        if self.closed:
+            raise self._closed_error()
+        inbox = self.inbox
+        if not inbox:
             return None
-        return self.inbox.popleft()
+        return inbox.popleft()
 
     def wait_readable(self) -> Event:
         """Event that succeeds when the connection has a pending request."""
@@ -402,7 +419,8 @@ class Connection:
     # ------------------------------------------------------------------
     def open_transfer(self, total: int, request: Optional[Request] = None) -> ResponseTransfer:
         """Declare the next response of ``total`` bytes on this connection."""
-        self._check_open()
+        if self.closed:
+            raise self._closed_error()
         transfer = ResponseTransfer(self.env, total, request)
         if total == 0:
             transfer.completed_at = self.env.now
@@ -427,10 +445,14 @@ class Connection:
         buffer is full (the write-spin case).  The caller must charge the
         syscall cost (``thread.syscall(bytes_copied=returned)``).
         """
-        self._check_open()
-        if self._fp_active:
+        if self.closed:
+            raise self._closed_error()
+        now = self.env._now
+        if now >= self._fp_next:
             self._fp_advance()
-        self._record_send_activity()
+        if now - self._last_activity > IDLE_RESET_THRESHOLD:
+            self._idle_restart()
+        self._last_activity = now
         accepted = self.buffer.reserve(nbytes)
         stats = self._stats
         stats.write_calls += 1
@@ -443,9 +465,14 @@ class Connection:
             return 0
         stats.bytes_written += accepted
         self._unsent += accepted
-        if self._fp_active:
-            self._fp_write_planned(accepted)
+        if self._fp_active and self._fp_planned + accepted <= self._fp_demand:
+            self._fp_extend()
         else:
+            if self._fp_active:
+                # Bytes with no open transfer to attribute them to: their
+                # completion boundaries are unknowable, so fall back to
+                # real per-segment events for this connection.
+                self._fp_materialize()
             self._pump()
         return accepted
 
@@ -456,32 +483,42 @@ class Connection:
         thread sleeps in the kernel while the buffer drains and the kernel
         moves the remaining bytes in as ACKs free space.  No write-spin.
         """
-        self._check_open()
-        self._stats.write_calls += 1
+        if self.closed:
+            raise self._closed_error()
+        stats = self._stats
+        stats.write_calls += 1
         if request is not None:
             request.write_calls += 1
         # One kernel crossing up front; the per-byte copy cost is charged
         # chunk by chunk below, as the kernel moves data into the buffer
         # while earlier bytes are already draining onto the wire.
         yield thread.syscall(bytes_copied=0)
-        self._stats.bytes_written += nbytes
+        stats.bytes_written += nbytes
         copy_cost = self.calibration.copy_cost_per_byte
+        env = self.env
+        buffer = self.buffer
         remaining = nbytes
         # One re-armable gate for the whole write: a 1 MB response through
         # a 16 KB buffer parks ~buffer/ack-granularity times, and each park
         # used to allocate a fresh Event plus a wake-up closure.
         gate: Optional[ReusableEvent] = None
         while remaining > 0:
-            if self._fp_active:
+            now = env._now
+            if now >= self._fp_next:
                 self._fp_advance()
-            self._record_send_activity()
-            accepted = self.buffer.reserve(remaining)
+            if now - self._last_activity > IDLE_RESET_THRESHOLD:
+                self._idle_restart()
+            self._last_activity = now
+            accepted = buffer.reserve(remaining)
             if accepted > 0:
                 remaining -= accepted
                 self._unsent += accepted
-                if self._fp_active:
-                    self._fp_write_planned(accepted)
+                # Plan, or fall back to the segment path, as try_write does.
+                if self._fp_active and self._fp_planned + accepted <= self._fp_demand:
+                    self._fp_extend()
                 else:
+                    if self._fp_active:
+                        self._fp_materialize()
                     self._pump()
                 chunk_cost = copy_cost * accepted + self.calibration.tx_kernel_cost(accepted)
                 if chunk_cost > 0:
@@ -509,7 +546,7 @@ class Connection:
         if self.closed:
             event.succeed()
         else:
-            if self._fp_active:
+            if self.env._now >= self._fp_next:
                 self._fp_advance()
             self._park_space_event(event)
         return event
@@ -522,7 +559,7 @@ class Connection:
         the connection so the fast path can bring buffer occupancy up to
         date first and arm a wake-up tick for the park.
         """
-        if self._fp_active:
+        if self.env._now >= self._fp_next:
             self._fp_advance()
         self.buffer.add_space_waiter(callback)
 
@@ -537,7 +574,7 @@ class Connection:
         plain buffer parking.
         """
         buffer = self.buffer
-        if self._fp_active:
+        if self.env._now >= self._fp_next:
             # The caller may have slept (e.g. the per-chunk copy charge in
             # blocking_write) since the last advance; apply any ACKs that
             # landed meanwhile so the head pending ACK is in the future.
@@ -647,7 +684,14 @@ class Connection:
         one timestamp.  Re-entrant calls (a buffer release notifying a
         selector watcher that reads ``writable``) are no-ops; the outer
         walk finishes the job in the same order the slow path's discrete
-        events would have.
+        events would have.  Hot callers skip the call while ``env.now`` is
+        before ``_fp_next``.
+
+        The walk keeps only the plan and its cursors in locals; connection
+        state (stats, cwnd, in-flight and unsent bytes) is read and written
+        where an ACK run or a send applies it.  So the walk over a plan
+        with no pending sends, nearly every plan, loads nothing it does
+        not use and writes back only the three cursors.
         """
         now = self.env._now
         if now < self._fp_next or self._fp_advancing or self.closed:
@@ -662,24 +706,18 @@ class Connection:
         na = len(acks)
         ns = len(sends)
         self._fp_advancing = True
-        stats = self._stats
-        attribute = self._attribute_delivery
-        release = self.buffer.release
-        mss = self._mss
-        cwnd_max = self._cwnd_max
-        cwnd = self._cwnd
-        in_flight = self._in_flight
         # Runs of consecutive same-kind entries batch into one effect
         # application: a run of deliveries becomes one attribution, a run
         # of ACKs one release.  Legal because nothing between two entries
         # of a run consumes an event id — the first observable divergence
         # point — so batching is indistinguishable from per-entry apply.
         deliv_acc = 0
+        # The three head timestamps; each run below moves only its own.
+        t_d = delivs[di][0] if di < nd else _INF
+        t_a = acks[ai][0] if ai < na else _INF
+        t_s = sends[si][0] if si < ns else _INF
         try:
             while True:
-                t_d = delivs[di][0] if di < nd else _INF
-                t_a = acks[ai][0] if ai < na else _INF
-                t_s = sends[si][0] if si < ns else _INF
                 if t_d <= t_a and t_d <= t_s:
                     if t_d > now:
                         self._fp_next = t_d
@@ -688,6 +726,7 @@ class Connection:
                         deliv_acc += delivs[di][1]
                         di += 1
                         if di >= nd:
+                            t_d = _INF
                             break
                         t_d = delivs[di][0]
                         if t_d > now or t_d > t_a or t_d > t_s:
@@ -697,8 +736,8 @@ class Connection:
                         self._fp_next = t_a
                         break
                     if deliv_acc:
-                        stats.bytes_delivered += deliv_acc
-                        attribute(deliv_acc)
+                        self._stats.bytes_delivered += deliv_acc
+                        self._attribute_delivery(deliv_acc)
                         deliv_acc = 0
                     n = 0
                     run = 0
@@ -709,24 +748,25 @@ class Connection:
                         run += 1
                         ai += 1
                         if ai >= na:
+                            t_a = _INF
                             break
                         t_a = acks[ai][0]
                         if t_a > now or t_a >= t_d or t_a > t_s:
                             break
-                    stats.acks_received += run
-                    in_flight -= n
+                    self._stats.acks_received += run
+                    self._in_flight -= n
                     self._last_activity = last_a
+                    cwnd = self._cwnd
+                    cwnd_max = self._cwnd_max
                     if cwnd < cwnd_max:
-                        grown = cwnd + mss * run
-                        cwnd = grown if grown < cwnd_max else cwnd_max
+                        grown = cwnd + self._mss * run
+                        self._cwnd = grown if grown < cwnd_max else cwnd_max
                     # Waiters woken by the release observe connection state:
-                    # write the locals back before notifying.
+                    # write the cursors back before notifying.
                     self._fp_delivs_i = di
                     self._fp_acks_i = ai
                     self._fp_sends_i = si
-                    self._cwnd = cwnd
-                    self._in_flight = in_flight
-                    release(n)
+                    self.buffer.release(n)
                 else:
                     if t_s > now:
                         self._fp_next = t_s
@@ -734,53 +774,95 @@ class Connection:
                     entry = sends[si]
                     si += 1
                     self._unsent -= entry[1]
-                    in_flight += entry[1]
+                    self._in_flight += entry[1]
                     self._wire_free_at = entry[2]
+                    t_s = sends[si][0] if si < ns else _INF
         finally:
             if deliv_acc:
-                stats.bytes_delivered += deliv_acc
-                attribute(deliv_acc)
+                self._stats.bytes_delivered += deliv_acc
+                self._attribute_delivery(deliv_acc)
             self._fp_delivs_i = di
             self._fp_acks_i = ai
             self._fp_sends_i = si
-            self._cwnd = cwnd
-            self._in_flight = in_flight
             self._fp_advancing = False
 
-    def _fp_write_planned(self, accepted: int) -> None:
-        """Plan the drain of freshly accepted bytes (fast-path ``_pump``)."""
-        if self._fp_planned + accepted > self._fp_demand:
-            # Bytes with no open transfer to attribute them to: their
-            # completion boundaries are unknowable, so fall back to real
-            # per-segment events for this connection.
-            self._fp_materialize()
-            self._pump()
-            return
-        self._fp_extend()
-
     def _fp_extend(self) -> None:
-        """Recompute the pending plan after ``_unsent`` grew.
+        """Plan the drain of freshly accepted bytes (fast-path ``_pump``).
 
         Replicates ``_pump`` (and the ``_on_ack`` → ``_pump`` cascade at
         every future ACK) arithmetic expression-for-expression so that the
         planned timestamps equal the slow path's event times bit-for-bit.
+
+        Nearly every call finds no future send planned and a cwnd that
+        sends all of ``_unsent`` at once; the short branch plans exactly
+        that and nothing else.  Every other call (a cwnd-limited write, or
+        one that must replan future sends) takes the general branch.
         """
         env = self.env
         now = env._now
-        sends = self._fp_sends
         delivs = self._fp_delivs
         acks = self._fp_acks
-        boundaries = self._fp_boundaries
-        done_evs = self._fp_done_evs
+        sends = self._fp_sends
+        unsent = self._unsent
+        in_flight = self._in_flight
+        cwnd = self._cwnd
+        gran = self._ack_granularity
         planned = self._fp_planned
+
+        if self._fp_sends_i == len(sends) and unsent <= cwnd - in_flight:
+            # Short branch: step (2) alone, with each chunk the whole of
+            # min(gran, unsent) (cwnd never binds) and Link.chunk_schedule
+            # inline: the same expressions in the same order, since float
+            # addition is not associative.  A change to chunk_schedule must
+            # be made here too.
+            link = self.link
+            bandwidth = link.bandwidth
+            latency = link.one_way_latency
+            wire_free_at = self._wire_free_at
+            boundaries = self._fp_boundaries
+            next_end = boundaries[0][0] if boundaries else _INF
+            while unsent > 0:
+                chunk = gran if gran < unsent else unsent
+                unsent -= chunk
+                in_flight += chunk
+                serialization = chunk / bandwidth
+                depart = now if now > wire_free_at else wire_free_at
+                wire_free_at = depart + serialization
+                d = now + ((depart - now) + serialization + latency)
+                delivs.append((d, chunk))
+                acks.append((d + latency, chunk))
+                planned += chunk
+                if planned >= next_end:
+                    next_end = self._fp_cover(planned, d)
+            self._unsent = 0
+            self._in_flight = in_flight
+            self._wire_free_at = wire_free_at
+            self._fp_planned = planned
+            if self._fp_settle is None:
+                ev = env.pooled_schedule_at(acks[-1][0])
+                ev.callbacks.append(self._fp_settle_cb)
+                self._fp_settle = ev
+            # No send is pending, so the earliest pending entry is the head
+            # delivery or the head ACK.  When the plan started fully applied
+            # the head delivery is the first new one, and its own ACK,
+            # later, heads the ACKs.
+            nxt = delivs[self._fp_delivs_i][0]
+            if self._fp_next != _INF:
+                t = acks[self._fp_acks_i][0]
+                if t < nxt:
+                    nxt = t
+            self._fp_next = nxt
+            return
 
         # (1) Drop not-yet-applied future sends — a new write at `now`
         # changes what the pump at each future ACK would have sent, so the
         # mutable suffix (and its delivery/ACK/completion entries, which
         # are the tails in chunk order) is recomputed from scratch.
+        boundaries = self._fp_boundaries
         si = self._fp_sends_i
         k = len(sends) - si
         if k:
+            done_evs = self._fp_done_evs
             for i in range(si, len(sends)):
                 planned -= sends[i][1]
             del sends[si:]
@@ -796,15 +878,9 @@ class Connection:
                     hook(transfer, None)
 
         next_end = boundaries[0][0] if boundaries else _INF
-        boundary_cb = self._fp_boundary_cb
-        hook = self._fp_boundary_hook
 
         # (2) Send immediately what cwnd allows — the slow path's _pump at
         # `now`, with the delivery timer replaced by a plan entry.
-        unsent = self._unsent
-        in_flight = self._in_flight
-        cwnd = self._cwnd
-        gran = self._ack_granularity
         latency = self.link.one_way_latency
         chunk_schedule = self.link.chunk_schedule
         wire_free_at = self._wire_free_at
@@ -818,14 +894,7 @@ class Connection:
             acks.append((d + latency, chunk))
             planned += chunk
             if planned >= next_end:
-                while boundaries and boundaries[0][0] <= planned:
-                    end, transfer = boundaries.popleft()
-                    ev = env.schedule_at(d)
-                    ev.callbacks.append(boundary_cb)
-                    done_evs.append((end, ev, transfer))
-                    if hook is not None:
-                        hook(transfer, d)
-                next_end = boundaries[0][0] if boundaries else _INF
+                next_end = self._fp_cover(planned, d)
         self._unsent = unsent
         self._in_flight = in_flight
         self._wire_free_at = wire_free_at
@@ -856,14 +925,7 @@ class Connection:
                     acks.append((d + latency, chunk))
                     planned += chunk
                     if planned >= next_end:
-                        while boundaries and boundaries[0][0] <= planned:
-                            end, transfer = boundaries.popleft()
-                            ev = env.schedule_at(d)
-                            ev.callbacks.append(boundary_cb)
-                            done_evs.append((end, ev, transfer))
-                            if hook is not None:
-                                hook(transfer, d)
-                        next_end = boundaries[0][0] if boundaries else _INF
+                        next_end = self._fp_cover(planned, d)
         self._fp_planned = planned
 
         # (4) Settle event at the end of the plan: applies the final ACK's
@@ -888,6 +950,26 @@ class Connection:
             if t < nxt:
                 nxt = t
         self._fp_next = nxt
+
+    def _fp_cover(self, planned: int, d: float) -> float:
+        """Schedule the completion boundary, at delivery time ``d``, of
+        every response that ends within the first ``planned`` bytes.
+
+        Returns the end offset of the next response still uncovered.
+        """
+        env = self.env
+        boundaries = self._fp_boundaries
+        done_evs = self._fp_done_evs
+        boundary_cb = self._fp_boundary_cb
+        hook = self._fp_boundary_hook
+        while boundaries and boundaries[0][0] <= planned:
+            end, transfer = boundaries.popleft()
+            ev = env.schedule_at(d)
+            ev.callbacks.append(boundary_cb)
+            done_evs.append((end, ev, transfer))
+            if hook is not None:
+                hook(transfer, d)
+        return boundaries[0][0] if boundaries else _INF
 
     def _fp_boundary_cb(self, event: Event) -> None:
         """A response's final byte lands exactly now: apply and complete."""
@@ -1086,9 +1168,9 @@ class Connection:
         self.buffer.close()
         self.on_close.succeed()
 
-    def _check_open(self) -> None:
-        if self.closed:
-            raise ConnectionClosedError(f"connection #{self.id} is closed")
+    def _closed_error(self) -> ConnectionClosedError:
+        """What an operation on this closed connection raises."""
+        return ConnectionClosedError(f"connection #{self.id} is closed")
 
     def __repr__(self) -> str:
         return (

@@ -158,6 +158,11 @@ class _ReferenceCPU(CPU):
         for core in self._cores:
             env.process(self._core_loop(core))
 
+    @property
+    def runnable_count(self):
+        # A scan of the cores, where the production CPU keeps a count.
+        return self._queued + sum(1 for c in self._cores if c.busy)
+
     def _submit(self, thread, user, system):
         # The footprint factor is derived from the live-thread count at
         # every submit, not cached.

@@ -195,12 +195,23 @@ def test_streaming_recorder_end_to_end(monkeypatch):
     """RunRecorder(streaming=True) produces a close-to-exact report.
 
     A lazy cohort at ``STREAMING_THRESHOLD`` members switches the recorder
-    to streaming; the threshold changes nothing else about the run.
+    to streaming; the threshold changes nothing else about the run.  Only
+    the response times feed a percentile, so the write counters and the
+    per-kind stats (read for counts and means) keep no P² estimators.
     """
     from repro.cohort import CohortConfig
     from repro.experiments.micro import MicroConfig, run_micro
+    from repro.metrics.stats import StreamingStats
     from repro.workload import harness
 
+    recorders = []
+
+    class Recorder(harness.RunRecorder):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            recorders.append(self)
+
+    monkeypatch.setattr(harness, "RunRecorder", Recorder)
     config = MicroConfig(
         "SingleT-Async", 8, duration=0.3, warmup=0.1, cohort=CohortConfig(),
     )
@@ -214,3 +225,14 @@ def test_streaming_recorder_end_to_end(monkeypatch):
     assert streaming.response_time_p50 == pytest.approx(
         exact.response_time_p50, rel=0.15
     )
+    recorder = recorders[-1]
+    assert recorder.streaming
+    assert sorted(recorder.response_times._quantiles) == [50.0, 95.0, 99.0]
+    mean_only = [recorder.write_calls, recorder.zero_writes, *recorder._per_kind.values()]
+    assert len(mean_only) > 2
+    for stats in mean_only:
+        assert isinstance(stats, StreamingStats)
+        assert not stats._quantiles
+    assert recorder.write_calls.count
+    assert "p99" not in repr(recorder.write_calls)
+    assert "p99~=" in repr(recorder.response_times)

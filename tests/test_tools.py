@@ -74,3 +74,36 @@ def test_keeps_sections_it_did_not_regenerate(assembler, capsys):
     assert "old fig7 rows" not in text
     assert "old records" not in text
     assert "kept the current EXPERIMENTS.md sections for fig1" in capsys.readouterr().err
+
+
+def test_sample_profile_quick_run():
+    """The sampler attributes a quick bench run: layer shares sum to 1,
+    every layer is a ``LAYER_OF`` value, and the previous ``SIGPROF``
+    handler and timer are back afterwards."""
+    import signal
+
+    spec = importlib.util.spec_from_file_location(
+        "sample_profile", ROOT / "tools" / "sample_profile.py"
+    )
+    sampler = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(sampler)
+    layers = sampler._load("_bench_layers", ROOT / "bench" / "layers.py")
+
+    def previous_handler(_signum, _frame):
+        pass
+
+    original = signal.signal(signal.SIGPROF, previous_handler)
+    try:
+        profile = sampler.sample("hybrid-mix", [1, 2], quick=True)
+        assert signal.getsignal(signal.SIGPROF) is previous_handler
+        assert signal.getitimer(signal.ITIMER_PROF) == (0.0, 0.0)
+    finally:
+        signal.signal(signal.SIGPROF, original)
+    assert profile.samples > profile.outside
+    self_share, cum_share = profile.layer_shares()
+    assert sum(self_share.values()) == pytest.approx(1.0)
+    assert set(self_share) <= set(cum_share) <= set(layers.LAYER_OF.values())
+    assert max(cum_share.values()) == pytest.approx(1.0)
+    assert sum(profile.shares(profile.self_func).values()) == pytest.approx(1.0)
+    assert sampler.parse_seeds("1-3,7") == [1, 2, 3, 7]
+    assert "layer" in sampler.report(profile, top=5)
