@@ -17,6 +17,7 @@ worker processes — results are bit-identical to a serial run.
 from __future__ import annotations
 
 import pathlib
+import subprocess
 
 import pytest
 
@@ -26,6 +27,21 @@ from repro.experiments.report import render_artifact, render_markdown
 #: Per-artifact markdown sections are dropped here; the repository's
 #: EXPERIMENTS.md is assembled from them (see tools/assemble_experiments.py).
 GENERATED_DIR = pathlib.Path(__file__).parent / "generated"
+
+
+def _provenance(scale: float) -> str:
+    """The line under a generated section's heading that says what
+    produced it: the measurement scale and the commit checked out.
+    tools/assemble_experiments.py keeps it with the section and knows it
+    by its ``*Provenance`` prefix."""
+    try:
+        commit = subprocess.run(
+            ["git", "rev-parse", "--short", "HEAD"],
+            cwd=GENERATED_DIR.parent, capture_output=True, text=True, check=True,
+        ).stdout.strip()
+    except (OSError, subprocess.CalledProcessError):
+        commit = ""
+    return f"*Provenance: `REPRO_BENCH_SCALE={scale}`, commit `{commit or 'unknown'}`.*"
 
 
 @pytest.fixture
@@ -45,11 +61,11 @@ def regenerate(benchmark, capsys):
         with capsys.disabled():
             print()
             print(render_artifact(result))
+        heading, _, body = render_markdown(result).partition("\n")
         GENERATED_DIR.mkdir(exist_ok=True)
         (GENERATED_DIR / f"{artifact}.md").write_text(
-            render_markdown(result), encoding="utf-8"
+            f"{heading}\n\n{_provenance(scale)}\n{body}", encoding="utf-8"
         )
-        (GENERATED_DIR / "scale.txt").write_text(str(scale), encoding="utf-8")
         failed = [check.name for check in result.failed_checks]
         assert not failed, f"shape checks failed: {failed}"
         return result

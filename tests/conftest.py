@@ -43,11 +43,3 @@ def make_connection(env, lan, calib):
         return Connection(env, lan, calib, **kwargs)
 
     return _make
-
-
-def run_process(env, generator):
-    """Start ``generator`` as a process and run the sim to completion,
-    returning the process's return value."""
-    process = env.process(generator)
-    env.run()
-    return process.value

@@ -1,8 +1,6 @@
 """Property-based tests of the CPU scheduler (hypothesis)."""
 
 import dataclasses
-import os
-import sys
 from collections import Counter, deque
 
 import pytest
@@ -15,6 +13,8 @@ from repro.cpu.accounting import CPUCounters
 from repro.cpu.scheduler import CPU, _Burst
 from repro.errors import InterruptError
 from repro.sim.core import PRIORITY_NORMAL, Environment
+
+from tests.helpers import count_calls
 
 burst_lists = st.lists(
     st.tuples(
@@ -493,13 +493,9 @@ def test_back_to_back_bursts_event_count():
     assert env.events_processed == 15
 
 
-_REPRO_ROOT = os.path.dirname(repro.__file__) + os.sep
-
-
 def _repro_calls(n_bursts):
     """Python calls into ``repro`` code while one thread runs ``n_bursts``
-    back-to-back 100 us bursts on an idle core, counted with
-    ``sys.setprofile`` (a generator resume is a call too)."""
+    back-to-back 100 us bursts on an idle core."""
     env = Environment()
     # A slice longer than the run: every burst after the first is sticky.
     cpu = CPU(env, default_calibration(cores=1, time_slice=1.0))
@@ -510,19 +506,7 @@ def _repro_calls(n_bursts):
             yield thread.run(100e-6)
 
     env.process(worker())
-    calls = 0
-
-    def profile(frame, event, _arg):
-        nonlocal calls
-        if event == "call" and frame.f_code.co_filename.startswith(_REPRO_ROOT):
-            calls += 1
-
-    previous = sys.getprofile()
-    sys.setprofile(profile)
-    try:
-        env.run()
-    finally:
-        sys.setprofile(previous)
+    calls = count_calls(repro, env.run)
     assert cpu.counters.bursts == n_bursts
     assert cpu.counters.context_switches == 1
     return calls

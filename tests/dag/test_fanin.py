@@ -18,8 +18,11 @@ import itertools
 import pytest
 
 from repro.dag import ServiceNode
-from repro.dag.runtime import EdgeRuntime, fanin_outcome, settle_branches
+from repro.dag.runtime import (
+    DagServiceApplication, EdgeRuntime, fanin_outcome, settle_branches,
+)
 from repro.dag.config import Edge
+from repro.sim.core import Environment
 
 pytestmark = pytest.mark.dag
 
@@ -97,3 +100,34 @@ def test_edge_counters_mirror_the_partition():
         assert counters["edge_a-b_ok"] == float(ok)
         assert counters["edge_a-b_failed"] == float(failed)
         assert counters["edge_a-b_dropped"] == float(dropped)
+
+
+def test_quorum_join_waits_while_the_pending_branches_can_still_meet_it():
+    """Quorum 2 of 3: after one branch fails, the two pending branches are
+    exactly enough, so the join must wait for them, not cut them."""
+    env = Environment()
+    leaves = ("a", "b", "c")
+    node = ServiceNode(
+        name="compose", edges=tuple(Edge(leaf) for leaf in leaves),
+        fan_in="quorum", quorum=2,
+    )
+    app = DagServiceApplication(node)
+
+    def worker(delay, status):
+        yield env.timeout(delay)
+        return status, None
+
+    branches = [
+        (EdgeRuntime("compose", Edge(leaf), ServiceNode(name=leaf)),
+         env.process(worker(delay, status)), env.event())
+        for leaf, delay, status in zip(leaves, (0.001, 0.005, 0.005),
+                                       ("busy", "ok", "ok"))
+    ]
+
+    def compose():
+        yield from app._join(env, branches, None)
+        return env.now, app._settle(branches)
+
+    joined = env.process(compose())
+    env.run()
+    assert joined.value == (0.005, ["busy", "ok", "ok"])

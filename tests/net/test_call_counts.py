@@ -1,12 +1,8 @@
 """Python calls into ``repro.net`` on the per-response path, pinned.
 
-Counted with ``sys.setprofile`` as ``test_sticky_burst_python_call_count``
-counts the CPU burst path: every ``call`` event whose code lives under
-``src/repro/net`` (a property read is a call too; C functions are not).
+Counted with :func:`tests.helpers.count_calls`, as
+``test_sticky_burst_python_call_count`` counts the CPU burst path.
 """
-
-import os
-import sys
 
 import repro.net
 from repro.calibration import DEFAULT_CALIBRATION
@@ -16,25 +12,7 @@ from repro.net.selector import EVENT_READ, Selector
 from repro.net.tcp import Connection
 from repro.sim.core import Environment
 
-_NET_ROOT = os.path.dirname(repro.net.__file__) + os.sep
-
-
-def _net_calls(action) -> int:
-    """Calls into ``repro.net`` while ``action()`` runs."""
-    calls = 0
-
-    def profile(frame, event, _arg):
-        nonlocal calls
-        if event == "call" and frame.f_code.co_filename.startswith(_NET_ROOT):
-            calls += 1
-
-    previous = sys.getprofile()
-    sys.setprofile(profile)
-    try:
-        action()
-    finally:
-        sys.setprofile(previous)
-    return calls
+from tests.helpers import count_calls
 
 
 def _light_response_calls(monkeypatch, n_responses: int) -> int:
@@ -56,7 +34,7 @@ def _light_response_calls(monkeypatch, n_responses: int) -> int:
             env.run()
             requests.append(request)
 
-    calls = _net_calls(exchanges)
+    calls = count_calls(repro.net, exchanges)
     assert conn._fp_active
     assert all(request.completed_at is not None for request in requests)
     assert conn.buffer.used == 0
@@ -100,5 +78,5 @@ def test_ready_list_calls_are_per_scan():
         conn.send_request(Request(env, "light", 100))
     env.run()
     ready = []
-    assert _net_calls(lambda: ready.extend(selector.ready_list())) == 2
+    assert count_calls(repro.net, lambda: ready.extend(selector.ready_list())) == 2
     assert ready == [(conn, EVENT_READ) for conn in conns[::40]]

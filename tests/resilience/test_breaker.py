@@ -56,6 +56,17 @@ def test_successes_dilute_failures_below_threshold(env):
     assert breaker.state == CLOSED
 
 
+def test_trips_when_the_failure_ratio_equals_the_threshold(env):
+    breaker = CircuitBreaker(env, CONFIG)
+    breaker.record_success()
+    breaker.record_success()
+    breaker.record_failure()
+    breaker.record_failure()
+    # 2 failures / 4 outcomes = 50%, the threshold itself.
+    assert breaker.state == OPEN
+    assert breaker.opens == 1
+
+
 def _trip(env, breaker):
     for _ in range(CONFIG.min_samples):
         breaker.record_failure()

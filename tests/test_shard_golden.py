@@ -38,7 +38,7 @@ from repro.experiments.micro import MicroConfig, run_micro
 from repro.experiments.parallel import SweepExecutor
 from repro.ntier.topology import NTierConfig, run_ntier
 
-from tests.test_kernel_determinism_golden import _digest_result
+from tests.helpers import result_digest
 
 pytestmark = [pytest.mark.shard, pytest.mark.tcpfast]
 
@@ -97,7 +97,7 @@ def _micro_digests(shards: int) -> dict:
             )
         else:
             assert not result.shard_events
-        digests[name] = _digest_result(result)
+        digests[name] = result_digest(result)
     return digests
 
 
@@ -113,7 +113,7 @@ def _ntier_digests(shards: int) -> dict:
             )
         else:
             assert not result.shard_events
-        digests[name] = _digest_result(result)
+        digests[name] = result_digest(result)
     return digests
 
 
@@ -160,7 +160,7 @@ def _sweep_digests(jobs: int, shards: str | None) -> dict:
         assert engaged == (shards is not None), (
             f"{name}: sharding engaged={engaged}, expected the opposite"
         )
-    return {name: _digest_result(r) for name, r in results.items()}
+    return {name: result_digest(r) for name, r in results.items()}
 
 
 def test_sweep_fanout_composes_with_sharding():

@@ -29,12 +29,30 @@ def test_assembles_sections_in_paper_order(assembler):
     assembler.GENERATED.mkdir()
     (assembler.GENERATED / "fig7.md").write_text("### fig7: latency\n")
     (assembler.GENERATED / "fig1.md").write_text("### fig1: rubbos\n")
-    (assembler.GENERATED / "scale.txt").write_text("0.5")
     assert assembler.main() == 0
     text = assembler.OUTPUT.read_text()
     assert text.index("fig1: rubbos") < text.index("fig7: latency")
-    assert "REPRO_BENCH_SCALE=0.5" in text
     assert text.startswith("# EXPERIMENTS")
+
+
+def test_every_section_says_what_produced_it(assembler):
+    """A section keeps the provenance line the benchmark harness writes
+    under its heading; one without that line is marked as not recorded."""
+    spec = importlib.util.spec_from_file_location(
+        "bench_conftest", ROOT / "benchmarks" / "conftest.py"
+    )
+    bench_conftest = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_conftest)
+    recorded = bench_conftest._provenance(0.5)
+    assert "`REPRO_BENCH_SCALE=0.5`, commit `" in recorded
+    assembler.GENERATED.mkdir()
+    (assembler.GENERATED / "fig1.md").write_text(f"### fig1: rubbos\n\n{recorded}\n\nrows\n")
+    (assembler.GENERATED / "fig7.md").write_text("### fig7: latency\n\nrows\n")
+    assert assembler.main() == 0
+    text = assembler.OUTPUT.read_text()
+    assert f"### fig1: rubbos\n\n{recorded}\n\nrows\n" in text
+    assert f"### fig7: latency\n\n{assembler.UNRECORDED}\n\nrows\n" in text
+    assert "REPRO_BENCH_SCALE=" not in assembler.PREAMBLE
 
 
 def test_warns_on_missing_sections(assembler, capsys):
@@ -53,14 +71,26 @@ def test_keeps_the_speed_records(assembler):
     text = assembler.OUTPUT.read_text(encoding="utf-8")
     committed = (ROOT / "EXPERIMENTS.md").read_text(encoding="utf-8")
     records = committed[committed.index("### Simulator speed records"):]
-    assert text.endswith("### shard: islands\n\n---\n\n" + records)
+    assert text.endswith(
+        f"### shard: islands\n\n{assembler.UNRECORDED}\n\n---\n\n" + records
+    )
+
+
+def test_reassembles_experiments_md_byte_for_byte(assembler):
+    """With nothing regenerated, assembling EXPERIMENTS.md reproduces it:
+    the committed file is exactly what the assembler writes."""
+    committed = (ROOT / "EXPERIMENTS.md").read_text(encoding="utf-8")
+    assembler.OUTPUT.write_text(committed, encoding="utf-8")
+    assembler.GENERATED.mkdir()
+    assert assembler.main() == 0
+    assert assembler.OUTPUT.read_text(encoding="utf-8") == committed
 
 
 def test_keeps_sections_it_did_not_regenerate(assembler, capsys):
     """A partial benchmark run replaces only what it regenerated: every
     other artifact keeps its current EXPERIMENTS.md section."""
     assembler.OUTPUT.write_text(
-        assembler.PREAMBLE.format(scale="0.5")
+        assembler.PREAMBLE
         + "### fig1: rubbos\n\nold fig1 rows\n\n"
         + "### fig7: latency\n\nold fig7 rows\n\n---\n\n"
         + "### Simulator speed records\n\nold records\n",
@@ -70,7 +100,11 @@ def test_keeps_sections_it_did_not_regenerate(assembler, capsys):
     (assembler.GENERATED / "fig7.md").write_text("### fig7: latency\n\nnew fig7 rows\n")
     assert assembler.main() == 0
     text = assembler.OUTPUT.read_text(encoding="utf-8")
-    assert "### fig1: rubbos\n\nold fig1 rows\n\n### fig7: latency\n\nnew fig7 rows\n" in text
+    unrecorded = assembler.UNRECORDED
+    assert (
+        f"### fig1: rubbos\n\n{unrecorded}\n\nold fig1 rows\n\n"
+        f"### fig7: latency\n\n{unrecorded}\n\nnew fig7 rows\n"
+    ) in text
     assert "old fig7 rows" not in text
     assert "old records" not in text
     assert "kept the current EXPERIMENTS.md sections for fig1" in capsys.readouterr().err

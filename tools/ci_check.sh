@@ -19,15 +19,19 @@
 #                 and the shard artifact benchmark) with REPRO_SHARDS=2
 #                 pinned, so every eligible simulation in the tier
 #                 actually exercises the forked-island kernel and must
-#                 still reproduce the serial digests bit-for-bit.
+#                 still reproduce the serial results bit-for-bit, hashed
+#                 by the pin table's helper (tests/helpers.py
+#                 result_digest).
 #   realnet tier  the loopback-socket tests (-m realnet) on their own, so
 #                 timing-sensitive socket work is not interleaved with the
 #                 CPU-heavy simulation tier.
-#   tcpfast tier  the tcpfast-marked equivalence tests (including the
-#                 golden-digest matrix) re-run with REPRO_TCP_FASTPATH=0,
-#                 proving the per-segment TCP path still produces
-#                 bit-identical results so any digest mismatch can be
-#                 bisected to the flow-level fast path in one run.
+#   tcpfast tier  the tcpfast-marked equivalence tests re-run with
+#                 REPRO_TCP_FASTPATH=0, among them the digest column of
+#                 every row of the pin table
+#                 (tests/test_kernel_determinism_golden.py), proving the
+#                 per-segment TCP path still produces bit-identical
+#                 results so any digest mismatch can be bisected to the
+#                 flow-level fast path in one run.
 #
 # A feature layer (cache, replicas, cohorts, DAGs) runs exactly when its
 # config is given, so no tier has to pin a layer on or kill it.
