@@ -26,7 +26,7 @@ def nonblocking_transfer(send_buffer_size=None, log_first=12):
     cpu = CPU(env, calib)
     thread = cpu.thread("writer")
     request = Request(env, "page", SIZE)
-    transfer = conn.open_transfer(SIZE, request)
+    conn.open_transfer(SIZE, request)
     log = []
 
     def writer(env):
@@ -39,7 +39,7 @@ def nonblocking_transfer(send_buffer_size=None, log_first=12):
             remaining -= written
             if remaining and written == 0:
                 yield conn.wait_writable()
-        yield transfer.done
+        yield request.completed
 
     env.process(writer(env))
     env.run()
@@ -53,11 +53,11 @@ def blocking_transfer():
     cpu = CPU(env, calib)
     thread = cpu.thread("writer")
     request = Request(env, "page", SIZE)
-    transfer = conn.open_transfer(SIZE, request)
+    conn.open_transfer(SIZE, request)
 
     def writer(env):
         yield from conn.blocking_write(thread, SIZE, request)
-        yield transfer.done
+        yield request.completed
 
     env.process(writer(env))
     env.run()

@@ -163,13 +163,5 @@ class SendBuffer:
         self._closed = True
         self._notify_space()
 
-    def wake_all_waiters(self) -> None:
-        """Fire every pending space waiter regardless of free space.
-
-        Used when the owning connection closes so that blocked writers
-        wake up, observe the closed state, and unwind.
-        """
-        self._notify_space()
-
     def __repr__(self) -> str:
         return f"<SendBuffer {self._used}/{self._capacity} waiters={len(self._space_waiters)}>"

@@ -62,17 +62,12 @@ class Request:
             return None
         return self.completed_at - self.created_at
 
-    def remaining_budget(self, now: float) -> Optional[float]:
-        """Seconds left before the deadline (``None`` when undeadlined)."""
-        if self.deadline is None:
-            return None
-        return self.deadline - now
-
     def mark_completed(self) -> None:
-        """Record completion time and trigger the completion event."""
+        """Record completion time and succeed the completion event with
+        ``None`` (a value naming the request would make a reference cycle)."""
         if self.completed_at is None:
             self.completed_at = self.env.now
-            self.completed.succeed(self)
+            self.completed.succeed()
 
     def __repr__(self) -> str:
         return f"<Request #{self.id} {self.kind!r} resp={self.response_size}B>"

@@ -33,9 +33,8 @@ closed form — slow-start growth, per-round in-flight caps, wire
 serialization — and records the exact per-chunk send/delivery/ACK
 timestamps.  Only **boundary events** reach the scheduler:
 
-* one *completion* event per response at the exact delivery time of its
-  final byte (``_attribute_delivery`` → ``transfer.done`` /
-  ``Request.mark_completed``);
+* one *completion* boundary per response at the exact delivery time of
+  its final byte (``_attribute_delivery`` → ``Request.mark_completed``);
 * one *armed wake-up* per parked writer, pushed directly at the next ACK
   time (``Environment.schedule_event_at``);
 * one pooled *tick* at the next ACK time while selector-style callback
@@ -139,20 +138,18 @@ class ResponseTransfer:
     """Tracks delivery of one response to the client.
 
     Created by the server before it starts writing the response; completes
-    (``done`` event) when the final byte reaches the client.  Transfers on
-    a connection complete in FIFO order because TCP is a byte stream.
+    (``completed_at``, ``Request.completed``) when the final byte reaches the
+    client.  Transfers on a connection complete in FIFO order (a byte stream).
     """
 
-    __slots__ = ("request", "total", "delivered", "done", "started_at", "completed_at")
+    __slots__ = ("request", "total", "delivered", "completed_at")
 
-    def __init__(self, env: Environment, total: int, request: Optional[Request]):
+    def __init__(self, total: int, request: Optional[Request]):
         if total < 0:
             raise ValueError(f"transfer size must be >= 0, got {total!r}")
         self.request = request
         self.total = total
         self.delivered = 0
-        self.done = env.event()
-        self.started_at = env._now
         self.completed_at: Optional[float] = None
 
     @property
@@ -421,13 +418,12 @@ class Connection:
         """Declare the next response of ``total`` bytes on this connection."""
         if self.closed:
             raise self._closed_error()
-        transfer = ResponseTransfer(self.env, total, request)
+        transfer = ResponseTransfer(total, request)
         if total == 0:
             transfer.completed_at = self.env.now
             self._stats.responses_completed += 1
             if request is not None:
                 request.mark_completed()
-            transfer.done.succeed(transfer)
         else:
             self._transfers.append(transfer)
             if self._fp_active:
@@ -670,7 +666,6 @@ class Connection:
                 self._stats.responses_completed += 1
                 if head.request is not None:
                     head.request.mark_completed()
-                head.done.succeed(head)
 
     # ------------------------------------------------------------------
     # Flow-level fast path

@@ -84,10 +84,6 @@ class NettyServer(BaseServer):
                 self._worker_loop(worker), name=f"{self.name}-worker{worker.index}"
             )
 
-    @property
-    def worker_count(self) -> int:
-        return len(self._workers)
-
     def _on_attach(self, connection: Connection) -> None:
         # The boss (reactor) thread only assigns new connections to
         # workers; it plays no role in steady-state request processing,

@@ -40,9 +40,10 @@ single result (the golden-digest tests pin bit-identical behaviour):
   and the scheduler drops it when it pops (or in a periodic heap
   compaction), so cancelling is O(1) instead of O(n) — see
   :meth:`Environment._cancel`;
-* ``any_of``/``all_of`` prune their losing :class:`Timeout` children once
-  the condition triggers, which keeps far-future retry deadlines from
-  piling up in the heap (the client retry pattern);
+* ``any_of``/``all_of`` detach from every child once the condition fires
+  and cancel a losing :class:`Timeout` left with no waiter, so far-future
+  retry deadlines do not pile up in the heap and a long-lived child (a
+  connection's ``on_close``) collects no callback per finished wait;
 * :meth:`Environment.succeed_in_place` runs a hand-off's callbacks
   without the heap round trip when they would have been the very next
   pop anyway (the CPU burst completion).
@@ -342,8 +343,9 @@ class Process(Event):
         self.name = name or getattr(generator, "__name__", "process")
         # `self._resume` builds a fresh bound-method object on every read;
         # the kernel registers it once per suspension, so cache one copy.
-        # (Bound methods compare by (func, instance), so detach-by-remove
-        # works on either copy — the cache is purely an allocation saving.)
+        # Bound methods compare by (func, instance), so detach-by-remove
+        # works on either copy.  A finished process drops the cached copy,
+        # its one reference to itself.
         self._resume_cb = self._resume
         Initialize(env, self)
 
@@ -373,12 +375,12 @@ class Process(Event):
                     event.defused = True
                     next_event = generator.throw(event._value)
             except StopIteration as exc:
-                self._target = None
+                self._target = self._resume_cb = None
                 env._active_process = None
                 self.succeed(getattr(exc, "value", None))
                 return
             except BaseException as exc:
-                self._target = None
+                self._target = self._resume_cb = None
                 env._active_process = None
                 if isinstance(exc, (KeyboardInterrupt, SystemExit)):
                     raise
@@ -386,7 +388,7 @@ class Process(Event):
                 return
 
             if not isinstance(next_event, Event):
-                self._target = None
+                self._target = self._resume_cb = None
                 env._active_process = None
                 self.fail(
                     ProcessError(f"process {self.name!r} yielded a non-event: {next_event!r}")
@@ -452,6 +454,8 @@ class Condition(Event):
         for event in self._events:
             if event.callbacks is None:
                 check(event)
+                if self._value is not _PENDING:
+                    break  # fired: later children are never watched
             else:
                 if event._cancelled:
                     # A cancelled-but-queued timer gains a waiter again.
@@ -466,42 +470,37 @@ class Condition(Event):
 
     def _check(self, event: Event) -> None:
         if self._value is not _PENDING:
-            if not event._ok:
-                event.defused = True
-            return
+            return  # this child's dispatch was under way when we fired
         if not event._ok:
             event.defused = True
             self.fail(event._value)
-            self._prune_pending_timeouts()
-            return
-        self._done += 1
-        if self._evaluate(len(self._events), self._done):
+        else:
+            self._done += 1
+            if not self._evaluate(len(self._events), self._done):
+                return
             self.succeed(self._collect())
-            self._prune_pending_timeouts()
+        self._release()
 
-    def _prune_pending_timeouts(self) -> None:
-        """Lazily cancel losing :class:`Timeout` children.
+    def _release(self) -> None:
+        """Remove ``_check`` from every child that still holds it.
 
-        Once the condition has triggered, our ``_check`` on a still-pending
-        child only defuses failures — and a pending ``Timeout`` can never
-        fail (its outcome is fixed at construction).  Dropping the callback
-        is therefore unobservable, and when it leaves the timer with no
-        waiters at all the timer is cancelled so abandoned retry deadlines
-        stop accumulating in the heap until their far-future pop.
-
-        Non-Timeout children keep their ``_check`` registration: they may
-        still fail later and rely on it for defusing.
+        SimPy's rule: a fired condition needs nothing more from its
+        children, so none keeps a callback into it.  A long-lived child (a
+        connection's ``on_close``) then carries no callback per finished
+        wait, and the condition with its value is freed by reference
+        counting alone.  A child that fails later is defused only by its
+        own waiters; with none, :meth:`Environment.run` raises.  A
+        :class:`Timeout` left with no waiter is lazily cancelled, so
+        abandoned retry deadlines do not pile up in the heap until their
+        far-future pop.
         """
         cancel = self.env._cancel
         check = self._check
         for ev in self._events:
             callbacks = ev.callbacks
-            if callbacks is not None and isinstance(ev, Timeout):
-                try:
-                    callbacks.remove(check)
-                except ValueError:
-                    pass
-                if not callbacks:
+            if callbacks is not None and check in callbacks:
+                callbacks.remove(check)
+                if not callbacks and isinstance(ev, Timeout):
                     cancel(ev)
 
     @staticmethod

@@ -329,7 +329,7 @@ class ClosedLoopClient:
                 if deadline_at is not None:
                     deadline = min(deadline, max(deadline_at - self.env.now, 0.0))
                 timer = self.env.timeout(deadline)
-                yield self.env.any_of([request.completed, self.connection.on_close, timer])
+                fired = yield self.env.any_of([request.completed, self.connection.on_close, timer])
                 if request.completed.triggered:
                     if not request.metadata.get("rejected"):
                         # Success: the full response reached this client.
@@ -356,7 +356,7 @@ class ClosedLoopClient:
                         yield self.env.timeout(backoff)
                     request = self._clone_request(template)
                     continue
-                elif timer.triggered and abort_after is not None and deadline == abort_after:
+                elif timer in fired and abort_after is not None and deadline == abort_after:
                     # Injected user abandonment: close and walk away.
                     self.stats.aborts += 1
                     self.faults.record_abort()
@@ -365,7 +365,7 @@ class ClosedLoopClient:
                 else:
                     # Timeout or mid-request connection loss: this
                     # connection is no longer trustworthy.
-                    if timer.triggered and not self.connection.closed:
+                    if timer in fired and not self.connection.closed:
                         self.stats.timeouts += 1
                     self.connection.close()
             if attempt > policy.max_retries or not self._may_retry(deadline_at):

@@ -37,7 +37,14 @@ SIZE_LARGE = 100 * 1024  # "100KB"
 
 
 class RequestMix:
-    """Source of requests for a workload client."""
+    """Source of requests for a workload client; mixes compare by value
+    (type and attributes), so a run equals its pickled copy."""
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is type(self) and vars(other) == vars(self)
+
+    def __hash__(self) -> int:
+        return hash((type(self), frozenset(vars(self).items())))
 
     def sample(self, env: Environment, rng: random.Random) -> Request:
         """Create the next request."""
@@ -117,7 +124,7 @@ class WeightedMix(RequestMix):
                 raise WorkloadError(f"negative weight for {kind!r}")
             if size < 0:
                 raise WorkloadError(f"negative response size for {kind!r}")
-        self._rows = [(kind, size, weight / total) for kind, size, weight in rows]
+        self._rows = tuple((kind, size, weight / total) for kind, size, weight in rows)
 
     def sample(self, env: Environment, rng: random.Random) -> Request:
         point = rng.random()

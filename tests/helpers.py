@@ -8,9 +8,8 @@ import os
 import sys
 
 #: Result fields the digest leaves out.  ``config`` is the input, not a
-#: result (a request mix may even compare by identity); ``kernel_events``
-#: is the pin table's own column, because the sharded kernel and the
-#: per-segment TCP path change it and nothing else.
+#: result; ``kernel_events`` is the pin table's own column, because the
+#: sharded kernel and the per-segment TCP path change it and nothing else.
 _UNHASHED = ("config", "kernel_events")
 
 

@@ -38,7 +38,7 @@ def test_mark_completed_sets_time_and_triggers_event(env):
     assert request.completed_at == 1.5
     assert request.response_time == pytest.approx(1.5)
     assert request.completed.triggered
-    assert request.completed.value is request
+    assert request.completed.value is None
 
 
 def test_mark_completed_is_idempotent(env):

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from repro.calibration import default_calibration
 from repro.net.link import Link
+from repro.net.messages import Request
 from repro.net.tcp import Connection
 from repro.sim.core import Environment
 
@@ -177,26 +178,26 @@ def _run_schedule(buffer_kb, latency_us, ops, close_us):
     conn = Connection(env, link, calib, send_buffer_size=buffer_kb * 1024)
     thread = CPU(env, calib).thread()
     selector = Selector(env)
+    requests = []
     transfers = []
     log = []
 
-    def completed(event):
-        log.append(("done", transfers.index(event._value), env.now))
-
     def declare(size):
-        transfer = conn.open_transfer(size)
-        transfers.append(transfer)
-        if transfer.done.callbacks is not None:
-            transfer.done.callbacks.append(completed)
-        return transfer
+        index = len(requests)
+        request = Request(env, "response", size)
+        requests.append(request)
+        transfers.append(conn.open_transfer(size, request))
+        request.completed.callbacks.append(
+            lambda _event: log.append(("done", index, env.now))
+        )
 
     def writer():
         try:
             for gap, op in ops:
                 if gap[0] == "sleep":
                     yield env.timeout(gap[1] * 1e-6)
-                elif gap[0] == "drain" and transfers:
-                    yield transfers[-1].done
+                elif gap[0] == "drain" and requests:
+                    yield requests[-1].completed
                     # Let the final ACK land too: the plan is fully applied.
                     yield env.timeout(2 * latency + 1e-4)
                 elif gap[0] == "idle":

@@ -15,7 +15,8 @@ def drain_time(one_way_latency, size, send_buffer=None, calib=None):
     env = Environment()
     link = Link(one_way_latency=one_way_latency, bandwidth=calib.link_bandwidth)
     conn = Connection(env, link, calib, send_buffer_size=send_buffer)
-    transfer = conn.open_transfer(size)
+    request = Request(env, "big", size)
+    conn.open_transfer(size, request)
 
     def writer(env):
         remaining = size
@@ -24,7 +25,7 @@ def drain_time(one_way_latency, size, send_buffer=None, calib=None):
             remaining -= n
             if remaining and n == 0:
                 yield conn.wait_writable()
-        yield transfer.done
+        yield request.completed
 
     env.process(writer(env))
     env.run()
@@ -60,17 +61,18 @@ def test_transfer_time_lower_bound_is_wire_time():
 def test_bytes_conserved_exactly(env, make_connection):
     conn = make_connection()
     sizes = [100, 5000, 33333]
-    transfers = [conn.open_transfer(s) for s in sizes]
+    requests = [Request(env, "r", s) for s in sizes]
+    transfers = [conn.open_transfer(s, r) for s, r in zip(sizes, requests)]
 
     def writer(env):
-        for size, transfer in zip(sizes, transfers):
+        for size in sizes:
             remaining = size
             while remaining:
                 n = conn.try_write(remaining)
                 remaining -= n
                 if remaining and n == 0:
                     yield conn.wait_writable()
-        yield transfers[-1].done
+        yield requests[-1].completed
 
     env.process(writer(env))
     env.run()

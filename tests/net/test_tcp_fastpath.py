@@ -17,6 +17,7 @@ import pytest
 
 from repro.calibration import DEFAULT_CALIBRATION
 from repro.net.link import Link
+from repro.net.messages import Request
 from repro.net.tcp import Connection, TCPStats
 from repro.sim import core as core_module
 from repro.sim.core import Environment
@@ -38,14 +39,15 @@ def _spin_response(added_latency: float) -> "tuple[float, dict]":
     conn = Connection(env, link)
 
     def writer(env: Environment):
-        transfer = conn.open_transfer(SIZE_100KB)
+        request = Request(env, "big", SIZE_100KB)
+        conn.open_transfer(SIZE_100KB, request)
         remaining = SIZE_100KB
         while remaining > 0:
             accepted = conn.try_write(remaining)
             remaining -= accepted
             if remaining > 0:
                 yield conn.wait_writable()
-        yield transfer.done
+        yield request.completed
 
     proc = env.process(writer(env))
     env.run(until=proc)

@@ -33,12 +33,12 @@ def test_try_write_counts_per_request(env, make_connection, calib):
 def test_small_response_single_write(env, cpu, make_connection):
     conn = make_connection()
     request = Request(env, "small", 102)
-    transfer = conn.open_transfer(102, request)
+    conn.open_transfer(102, request)
 
     def writer(env):
         written = conn.try_write(102, request)
         assert written == 102
-        yield transfer.done
+        yield request.completed
 
     env.process(writer(env))
     env.run()
@@ -50,7 +50,7 @@ def test_nonblocking_large_response_spins(env, cpu, make_connection, calib):
     conn = make_connection()
     size = 100 * 1024
     request = Request(env, "big", size)
-    transfer = conn.open_transfer(size, request)
+    conn.open_transfer(size, request)
     thread = cpu.thread()
 
     def writer(env):
@@ -61,7 +61,7 @@ def test_nonblocking_large_response_spins(env, cpu, make_connection, calib):
             remaining -= n
             if remaining and n == 0:
                 yield conn.wait_writable()
-        yield transfer.done
+        yield request.completed
 
     env.process(writer(env))
     env.run()
@@ -74,12 +74,12 @@ def test_blocking_write_is_single_syscall(env, cpu, make_connection):
     conn = make_connection()
     size = 100 * 1024
     request = Request(env, "big", size)
-    transfer = conn.open_transfer(size, request)
+    conn.open_transfer(size, request)
     thread = cpu.thread()
 
     def writer(env):
         yield from conn.blocking_write(thread, size, request)
-        yield transfer.done
+        yield request.completed
 
     env.process(writer(env))
     env.run()
@@ -100,16 +100,19 @@ def test_blocking_write_returns_before_final_delivery(env, cpu, make_connection,
         yield from conn.blocking_write(thread, size)
         returned_at["t"] = env.now
 
-    transfer = conn.open_transfer(size)
+    request = Request(env, "big", size)
+    conn.open_transfer(size, request)
     env.process(writer(env))
-    env.run(transfer.done)
+    env.run(request.completed)
     assert returned_at["t"] < env.now
 
 
 def test_open_transfer_zero_bytes_completes_immediately(env, make_connection):
     conn = make_connection()
-    transfer = conn.open_transfer(0)
-    assert transfer.done.triggered
+    request = Request(env, "empty", 0)
+    transfer = conn.open_transfer(0, request)
+    assert transfer.completed_at == env.now
+    assert request.completed.triggered
 
 
 def test_transfers_complete_in_fifo_order(env, cpu, make_connection):

@@ -83,3 +83,36 @@ def test_process_can_yield_condition(env):
 
     process = env.process(worker(env))
     assert env.run(process) == 3
+
+
+def test_fired_conditions_leave_no_callback_on_a_long_lived_child(env):
+    """100 successive waits on one long-lived event, each lost to a timer
+    (a pooled connection's ``on_close``): the event holds only the wait
+    in progress, and nothing once every wait is over."""
+    long_lived = env.event()
+
+    def waiter(env):
+        for _ in range(100):
+            yield env.any_of([long_lived, env.timeout(1)])
+
+    env.process(waiter(env))
+    env.run(until=50.5)
+    assert len(long_lived.callbacks) == 1
+    env.run()
+    assert long_lived.callbacks == []
+
+
+def test_child_failing_after_its_condition_fired_is_not_defused(env):
+    """A fired condition no longer watches its children, so a child that
+    fails later, with nothing else waiting on it, raises out of run()."""
+
+    def child(env):
+        yield env.timeout(2)
+        raise ValueError("late failure")
+
+    def parent(env):
+        yield env.any_of([env.process(child(env)), env.timeout(1)])
+
+    env.process(parent(env))
+    with pytest.raises(ValueError, match="late failure"):
+        env.run()

@@ -593,35 +593,35 @@ LAYERS = {
 
 #: ``row -> (digest, kernel_events, completed)``.
 PINS = {
-    'sTomcat-Sync': ('52848e137ae52a9f', 126451, 8260),
-    'sTomcat-Async': ('f4f335ab15d06eb3', 236980, 6338),
-    'sTomcat-Async-Fix': ('be9a711f6e542118', 182139, 7056),
-    'SingleT-Async': ('49bf955f100b950f', 25755, 121),
-    'NettyServer': ('f5da97e8066577bf', 10203, 160),
-    'HybridNetty': ('fda7226c55fe0c77', 115884, 9039),
-    'TomcatSync': ('64817baec21d5182', 103494, 6174),
-    'TomcatAsync': ('930d4c9a145f2e0d', 195669, 5007),
-    'Staged-SEDA': ('91d7f1ba0f6ae288', 167242, 5845),
-    'N-copy': ('a36087814c53a629', 105705, 9150),
-    'chaos': ('b2a8d4f61ab880e4', 9585, 515),
-    'resilience': ('942f3884640f3bea', 9094, 577),
-    'single-sync': ('eda873c29b6be48e', 23296, 96),
-    'single-chaos': ('f0b6ee95eaf308c7', 30106, 116),
-    'cache': ('8b2628c1f91655c1', 24226, 104),
-    'cache-aside': ('666b65483b989649', 23114, 97),
-    'single-replica1-cache': ('39764cbe8a2baaa5', 24724, 97),
-    'failover': ('07e658e8b8aed014', 39061, 168),
-    'hedged': ('236dde74b1831ad1', 29786, 168),
-    'replica-deadline': ('f12bf05adf6146ab', 247864, 1604),
-    'cohort-chaos': ('2693214bf41c8151', 67140, 4859),
-    'cohort-idle': ('96bad04fe973853d', 4880, 340),
-    'dag-fanout': ('ff8904560501a0cd', 22031, 119),
-    'dag-quorum': ('6b119fd9c5b10aa4', 27785, 162),
-    'dag-sync-replica': ('995c515d8681c9de', 89253, 603),
-    'write-spin': ('d58298c6d2762402', 34050, 138),
-    'cohort-200k': ('2b2bf77b5081e03d', 30344, 1950),
-    'cohort-fixed-think': ('46795e7fdd0736f7', 184366, 5621),
-    'dag-wait-all': ('2641a73b7882b314', 64105, 534),
+    'sTomcat-Sync': ('52848e137ae52a9f', 116014, 8260),
+    'sTomcat-Async': ('f4f335ab15d06eb3', 228865, 6338),
+    'sTomcat-Async-Fix': ('be9a711f6e542118', 173136, 7056),
+    'SingleT-Async': ('49bf955f100b950f', 25594, 121),
+    'NettyServer': ('f5da97e8066577bf', 9999, 160),
+    'HybridNetty': ('fda7226c55fe0c77', 104537, 9039),
+    'TomcatSync': ('64817baec21d5182', 95580, 6174),
+    'TomcatAsync': ('930d4c9a145f2e0d', 189196, 5007),
+    'Staged-SEDA': ('91d7f1ba0f6ae288', 159716, 5845),
+    'N-copy': ('a36087814c53a629', 94228, 9150),
+    'chaos': ('b2a8d4f61ab880e4', 8836, 515),
+    'resilience': ('942f3884640f3bea', 8384, 577),
+    'single-sync': ('eda873c29b6be48e', 22732, 96),
+    'single-chaos': ('f0b6ee95eaf308c7', 29443, 116),
+    'cache': ('8b2628c1f91655c1', 23783, 104),
+    'cache-aside': ('666b65483b989649', 22640, 97),
+    'single-replica1-cache': ('39764cbe8a2baaa5', 24266, 97),
+    'failover': ('07e658e8b8aed014', 38291, 168),
+    'hedged': ('236dde74b1831ad1', 29225, 168),
+    'replica-deadline': ('f12bf05adf6146ab', 243529, 1604),
+    'cohort-chaos': ('2693214bf41c8151', 61601, 4859),
+    'cohort-idle': ('96bad04fe973853d', 4495, 340),
+    'dag-fanout': ('ff8904560501a0cd', 21315, 119),
+    'dag-quorum': ('6b119fd9c5b10aa4', 26913, 162),
+    'dag-sync-replica': ('995c515d8681c9de', 86737, 603),
+    'write-spin': ('d58298c6d2762402', 33832, 138),
+    'cohort-200k': ('2b2bf77b5081e03d', 27837, 1950),
+    'cohort-fixed-think': ('46795e7fdd0736f7', 178745, 5621),
+    'dag-wait-all': ('2641a73b7882b314', 61257, 534),
 }
 
 

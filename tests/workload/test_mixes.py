@@ -1,10 +1,12 @@
 """Request mixes."""
 
+import pickle
 import random
 
 import pytest
 
 from repro.errors import WorkloadError
+from repro.experiments.micro import MicroConfig, run_micro
 from repro.workload.mixes import (
     SIZE_LARGE,
     SIZE_SMALL,
@@ -104,3 +106,32 @@ def test_zipf_validation():
 def test_stateless_mix_clone_is_shared():
     mix = FixedMix(100)
     assert mix.clone_for_client() is mix
+
+
+def test_mixes_compare_by_value():
+    rows = [("a", 100, 1.0), ("b", 300, 3.0)]
+    assert FixedMix(100) == FixedMix(100)
+    assert hash(FixedMix(100)) == hash(FixedMix(100))
+    assert FixedMix(100) != FixedMix(200)
+    assert BimodalMix(0.05) == BimodalMix(0.05) != BimodalMix(0.1)
+    assert WeightedMix(rows) == WeightedMix(rows)
+    assert hash(ZipfMix([1, 2])) == hash(ZipfMix([1, 2]))
+    assert ZipfMix([1, 2]) != ZipfMix([1, 2], exponent=2.0)
+    assert FixedMix(100, kind="a") != WeightedMix([("a", 100, 1.0)])
+
+
+def test_run_equals_its_pickled_copy():
+    """What the sweep executor hands back from a worker or the memo is a
+    pickled copy: it must equal the run, config (and its mix) included."""
+    result = run_micro(MicroConfig(
+        "sTomcat-Sync", 4, mix=BimodalMix(0.05), duration=0.1, warmup=0.02
+    ))
+    assert pickle.loads(pickle.dumps(result)) == result
+
+
+@pytest.mark.dag
+def test_two_runs_of_a_pinned_dag_row_compare_equal():
+    from tests.test_kernel_determinism_golden import _DIRECT
+
+    run = _DIRECT["dag-wait-all"]
+    assert run() == run()

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from repro.errors import WorkloadError
-from repro.experiments.micro import MicroConfig
+from repro.experiments.micro import MicroConfig, run_micro
 from repro.experiments.parallel import SweepExecutor
 from repro.faults import FaultPlan
 from repro.metrics.collector import RunRecorder
@@ -213,6 +213,23 @@ def test_fault_injected_aborts_close_and_reconnect(env, make_connection):
     assert client.stats.aborts >= 2
     assert client.stats.aborts == faults.aborts
     assert client.stats.reconnects >= 2
+
+
+def test_connection_reset_is_not_a_client_abort():
+    """Every request is reset and every wait is bounded by an abort delay
+    longer than the run: no abort timer can fire, so each reset is retried
+    or given up, and no client abort is counted."""
+    result = run_micro(MicroConfig(
+        "sTomcat-Sync", 2, duration=0.3, warmup=0.05,
+        fault_plan=FaultPlan(
+            client_abort_prob=1.0, client_abort_delay=1.0, reset_request_prob=1.0
+        ),
+        retry=RetryPolicy(timeout=2.0, max_retries=1),
+    ))
+    assert result.faults.connection_resets > 0
+    assert result.faults.client_aborts == 0
+    assert result.client_stats["aborts"] == 0
+    assert result.client_stats["retries"] > 0
 
 
 def test_give_up_counted_exactly_once_per_abandoned_request(env, make_connection):
