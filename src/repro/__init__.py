@@ -26,7 +26,7 @@ Quickstart::
 """
 
 from repro.calibration import Calibration, DEFAULT_CALIBRATION, default_calibration
-from repro.core import HybridServer, PathCategory, PathClassifier, RequestProfiler
+from repro.core import HybridServer, PathCategory
 from repro.cpu import CPU, SimThread
 from repro.errors import ReproError
 from repro.faults import FAULT_PRESETS, FaultInjector, FaultPlan, FaultReport, StallWindow
@@ -74,8 +74,6 @@ __all__ = [
     "default_calibration",
     "HybridServer",
     "PathCategory",
-    "PathClassifier",
-    "RequestProfiler",
     "CPU",
     "SimThread",
     "ReproError",

@@ -492,7 +492,7 @@ class Cohort:
         if request.metadata.get("rejected"):
             self.stats.rejected += 1
             self._release_conn(flight.conn)
-            if self._policy is not None and self._policy.retry_rejections:
+            if self._policy is not None:
                 # Retrying a shed request takes real backoff/budget
                 # decisions: materialize the member.
                 self._begin_episode()

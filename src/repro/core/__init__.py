@@ -2,21 +2,14 @@
 
 * :class:`~repro.core.hybrid.HybridServer` — HybridNetty, runtime path
   selection between a direct (SingleT-style) path for light requests and a
-  Netty-style bounded-write path for heavy requests.
-* :class:`~repro.core.profiler.RequestProfiler` — per-type write-spin
-  observation (the warm-up profiling).
-* :class:`~repro.core.classifier.PathClassifier` — the light/heavy map
-  with runtime correction.
+  Netty-style bounded-write path for heavy requests, from a request-type
+  map filled by the observed write-spin.
+* :class:`~repro.core.hybrid.PathCategory` — the map's two values.
 """
 
-from repro.core.classifier import PathCategory, PathClassifier
-from repro.core.hybrid import HybridServer
-from repro.core.profiler import KindProfile, RequestProfiler
+from repro.core.hybrid import HybridServer, PathCategory
 
 __all__ = [
     "PathCategory",
-    "PathClassifier",
     "HybridServer",
-    "KindProfile",
-    "RequestProfiler",
 ]

@@ -9,29 +9,38 @@ The hybrid server combines the strengths of two asynchronous designs:
   Netty path wins: bounded write loop, jump-out, resume on writability, so
   the worker keeps serving other connections during the wait-ACK drain.
 
-Per request, the server looks the type up in the classifier map (a cheap
-dict probe + type check, charged as ``hybrid_lookup_cost``) and takes the
+The server keeps the paper's "map object", a dict from request type to
+:class:`PathCategory`.  Per request it looks the type up (a cheap dict
+probe + type check, charged as ``hybrid_lookup_cost``) and takes the
 recorded path.  Unprofiled types take the safe Netty path, whose
 ``writeSpin`` counter *is* the profiling signal — that is the warm-up
-phase.  If a request is ever observed in the wrong category (e.g. a
-formerly small dynamic response grew past the send buffer), the map is
-updated immediately; a light-path request that unexpectedly spins falls
-back to the Netty machinery mid-response, so a misclassification costs a
-little efficiency, never correctness.
+phase.  Every completed response sets its type's entry from its own write
+counters, so a type observed in the wrong category (e.g. a formerly small
+dynamic response grew past the send buffer) moves at once; a light-path
+request that unexpectedly spins falls back to the Netty machinery
+mid-response, so a misclassification costs a little efficiency, never
+correctness.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+import enum
+from typing import Dict
 
-from repro.core.classifier import PathCategory, PathClassifier
-from repro.core.profiler import RequestProfiler
 from repro.net.messages import Request
-from repro.net.selector import EVENT_READ, EVENT_WRITE
 from repro.net.tcp import Connection
 from repro.servers.netty import NettyServer, NettyWorker, PendingWrite
 
-__all__ = ["HybridServer"]
+__all__ = ["HybridServer", "PathCategory"]
+
+
+class PathCategory(enum.Enum):
+    """Which execution path a request type should take."""
+
+    #: Small responses that never spin: direct, minimal-overhead path.
+    LIGHT = "light"
+    #: Responses that trigger write-spin: Netty-style bounded-write path.
+    HEAVY = "heavy"
 
 
 class HybridServer(NettyServer):
@@ -39,10 +48,11 @@ class HybridServer(NettyServer):
 
     architecture = "HybridNetty"
 
-    def __init__(self, *args, confirm: int = 1, **kwargs):
+    def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self.profiler = RequestProfiler()
-        self.classifier = PathClassifier(confirm=confirm)
+        #: The map object: request type → path, absent until a response
+        #: of the type completes.
+        self.path_map: Dict[str, PathCategory] = {}
         #: Requests served via the light (direct) path.
         self.light_path_requests = 0
         #: Requests served via the heavy (Netty) path.
@@ -53,14 +63,14 @@ class HybridServer(NettyServer):
     # ------------------------------------------------------------------
     def _handle_readable(self, worker: NettyWorker, connection: Connection):
         calib = self.calibration
+        path_map = self.path_map
         while connection.readable and connection not in worker.pending:
             request = yield from self._read_request(worker.thread, connection)
             if request is None:
                 break
             # Path lookup: map probe + request type check.
             yield worker.thread.run(calib.hybrid_lookup_cost)
-            category = self.classifier.classify(request.kind)
-            if category is PathCategory.LIGHT:
+            if path_map.get(request.kind) is PathCategory.LIGHT:
                 yield from self._light_path(worker, connection, request)
             else:
                 # HEAVY or unknown (warm-up): the Netty path profiles it.
@@ -85,10 +95,9 @@ class HybridServer(NettyServer):
             self._observe(request)
             return
         # Unexpected spin: the response did not fit — the map is stale.
-        # Reclassify and finish the transfer through the Netty machinery
-        # so the worker does not block on this connection.
+        # Finish the transfer through the Netty machinery so the worker
+        # does not block on this connection; its completion flips the map.
         self.light_path_fallbacks += 1
-        self.stats.reclassifications += 1
         request.metadata["path"] = "light->heavy"
         state = PendingWrite(request, remaining, transfer)
         worker.pending[connection] = state
@@ -116,11 +125,15 @@ class HybridServer(NettyServer):
             self._observe(state.request)
 
     def _observe(self, request: Request) -> None:
-        """Update profiler + classifier map from a completed response."""
-        profile = self.profiler.observe(request.kind, request.write_calls, request.zero_writes)
-        spun = request.write_calls > 1 or request.zero_writes > 0
-        before = self.classifier.classify(request.kind)
-        after = self.classifier.observe(request.kind, spun)
-        if before is not None and before is not after:
-            self.stats.reclassifications += 1
-        del profile
+        """Set the request type's path from the response's write counters:
+        more than one write, or a zero write, is the writeSpin signal.
+        Moving a type that already had a path counts one reclassification."""
+        if request.write_calls > 1 or request.zero_writes > 0:
+            observed = PathCategory.HEAVY
+        else:
+            observed = PathCategory.LIGHT
+        before = self.path_map.get(request.kind)
+        if before is not observed:
+            if before is not None:
+                self.stats.reclassifications += 1
+            self.path_map[request.kind] = observed

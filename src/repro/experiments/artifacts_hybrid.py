@@ -244,7 +244,7 @@ def ablation_send_buffer(scale: float = 1.0, jobs: Optional[int] = None) -> Arti
 class _DriftingMix(RequestMix):
     """A mix whose 'page' response size grows mid-run (dataset growth).
 
-    Exercises the hybrid classifier's runtime re-classification: the
+    Exercises the hybrid map's runtime re-classification: the
     `page` type starts light (fits the send buffer) and later becomes
     heavy (spins), so a static warm-up-only map would route it down the
     wrong path forever.

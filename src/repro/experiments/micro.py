@@ -116,7 +116,8 @@ class MicroConfig:
     fault_plan: Optional[FaultPlan] = None
     #: Client-side resilience policy (``None`` → historical client loop).
     retry: Optional[RetryPolicy] = None
-    #: Server-side load-shedding limits (``None`` → unlimited).
+    #: Server-side load-shedding limits (``None`` → unlimited; N-copy
+    #: takes none).
     limits: Optional[ServerLimits] = None
     #: Cross-tier resilience policy (``None`` or all-``None`` → nothing is
     #: instantiated; bit-identical to the default).  In the single-server
@@ -153,11 +154,6 @@ class MicroConfig:
         thread footprint.
         """
         return max(2, min(32, self.concurrency))
-
-    def describe(self) -> str:
-        """One-line human summary of this run configuration."""
-        latency = f" +{self.added_latency * 1e3:g}ms" if self.added_latency else ""
-        return f"{self.server} c={self.concurrency} resp={self.response_size}B{latency}"
 
 
 #: A micro run's result: the shared run result, always with
@@ -271,6 +267,13 @@ def run_micro(config: MicroConfig, shards: Optional[int] = None) -> MicroResult:
         raise ExperimentError(f"concurrency must be >= 1, got {config.concurrency!r}")
     if config.duration <= config.warmup:
         raise ExperimentError("duration must exceed warmup")
+    if config.server == "N-copy" and (
+        config.limits is not None
+        or (config.resilience is not None and config.resilience.admission is not None)
+    ):
+        # The limits would land on the wrapper, which serves nothing
+        # itself: the run would go unshed.
+        raise ExperimentError("N-copy takes no server limits or admission policy")
     requested = resolve_shards(shards)
     if requested > 1:
         from repro.shard.runtime import run_micro_sharded

@@ -286,19 +286,6 @@ class SweepStats:
             setattr(self, field.name,
                     getattr(self, field.name) + getattr(other, field.name))
 
-    def describe(self) -> str:
-        """One-line human summary."""
-        text = (
-            f"{self.points} point(s): {self.cache_hits} cached, "
-            f"{self.computed} simulated"
-        )
-        if self.kernel_wall_s > 0.0:
-            text += (
-                f", {self.kernel_events:,} kernel events"
-                f" ({self.events_per_sec:,.0f}/s)"
-            )
-        return text
-
 
 #: Process-wide accounting since the last :func:`consume_sweep_totals`.
 #: Artifact runners build their :class:`SweepExecutor` internally, so the
@@ -375,7 +362,7 @@ class SweepExecutor:
             else:
                 pending[key] = config
         if pending:
-            computed = self._compute(runner, pending)
+            computed = self._compute(runner, pending, run)
             run.computed = len(computed)
             for key, result in computed.items():
                 _memo_store(self._cache_path(runner, pending[key]), result)
@@ -400,12 +387,16 @@ class SweepExecutor:
         seed = derive_seed(getattr(config, "seed", 0), self.artifact, runner, str(key))
         return replace(config, seed=seed)
 
-    def _compute(self, runner: str, pending: Dict[object, object]) -> Dict[object, object]:
+    def _compute(
+        self, runner: str, pending: Dict[object, object], run: SweepStats
+    ) -> Dict[object, object]:
+        """Simulate ``pending``; a fall back to the serial path is counted
+        in ``run``, the call's own accounting."""
         if self.jobs > 1 and len(pending) > 1:
             if not self._picklable(runner, pending):
                 # Configs that cannot cross a process boundary (e.g. a mix
                 # defined in a local scope) run serially instead of failing.
-                self.stats.serial_fallbacks += 1
+                run.serial_fallbacks += 1
             else:
                 try:
                     return self._compute_parallel(runner, pending)
@@ -413,7 +404,7 @@ class SweepExecutor:
                     # Pool infrastructure failure (fork unavailable, resource
                     # limits): degrade to the serial path.  Genuine simulation
                     # errors propagate from future.result() untouched.
-                    self.stats.serial_fallbacks += 1
+                    run.serial_fallbacks += 1
         return {key: _run_point(runner, config) for key, config in pending.items()}
 
     def _compute_parallel(self, runner: str, pending: Dict[object, object]) -> Dict[object, object]:

@@ -76,7 +76,8 @@ def render_sweep_summary(elapsed_s: float, totals: object, scale: float = 1.0) -
     ``totals`` is the :class:`~repro.experiments.parallel.SweepStats`
     drained after the artifact ran: wall time always, plus the kernel
     event count and simulation rate when any point was actually simulated
-    (a fully cached regeneration has no meaningful rate to report).
+    (a fully cached regeneration has no meaningful rate to report), and
+    the sweeps that fell back from the process pool to serial runs.
     """
     text = f"(regenerated in {elapsed_s:.1f}s at scale {scale:g}"
     points = getattr(totals, "points", 0)
@@ -94,6 +95,9 @@ def render_sweep_summary(elapsed_s: float, totals: object, scale: float = 1.0) -
         )
     if points and cache_hits:
         text += f"; {cache_hits}/{points} point(s) cached"
+    fallbacks = getattr(totals, "serial_fallbacks", 0)
+    if fallbacks:
+        text += f"; {fallbacks} sweep(s) fell back to serial"
     return text + ")"
 
 

@@ -282,7 +282,7 @@ class ConnectionFaults:
     object is attached**, so the default path stays untouched.
     """
 
-    __slots__ = ("injector", "plan", "rng", "where", "_requests_seen", "_bytes_seen")
+    __slots__ = ("injector", "plan", "rng", "where", "_requests_seen")
 
     def __init__(self, injector: FaultInjector, plan: FaultPlan, rng, where: str):
         self.injector = injector
@@ -290,7 +290,6 @@ class ConnectionFaults:
         self.rng = rng
         self.where = where
         self._requests_seen = 0
-        self._bytes_seen = 0
 
     def chunk_delay(self, nbytes: int) -> float:
         """Extra delivery delay for one data segment (0.0 = clean)."""
@@ -326,18 +325,6 @@ class ConnectionFaults:
             self.injector.connection_resets += 1
             self.injector.record("reset", self.where, f"request#{self._requests_seen}")
         return reset
-
-    def on_bytes_delivered(self, nbytes: int) -> bool:
-        """True when the connection must reset after this delivery."""
-        plan = self.plan
-        if plan.reset_after_bytes is None:
-            return False
-        self._bytes_seen += nbytes
-        if self._bytes_seen >= plan.reset_after_bytes:
-            self.injector.connection_resets += 1
-            self.injector.record("reset", self.where, f"byte#{self._bytes_seen}")
-            return True
-        return False
 
 
 class ClientFaults:

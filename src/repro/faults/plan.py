@@ -124,8 +124,6 @@ class FaultPlan:
     reset_request_prob: float = 0.0
     #: Reset the connection after this many requests have arrived on it.
     reset_after_requests: Optional[int] = None
-    #: Reset the connection after this many response bytes were delivered.
-    reset_after_bytes: Optional[int] = None
     #: Probability a client abandons (aborts) an issued request early.
     client_abort_prob: float = 0.0
     #: How long an aborting client waits before giving up, in seconds.
@@ -162,10 +160,6 @@ class FaultPlan:
             raise ExperimentError(
                 f"reset_after_requests must be >= 1, got {self.reset_after_requests!r}"
             )
-        if self.reset_after_bytes is not None and self.reset_after_bytes < 1:
-            raise ExperimentError(
-                f"reset_after_bytes must be >= 1, got {self.reset_after_bytes!r}"
-            )
 
     @property
     def enabled(self) -> bool:
@@ -176,7 +170,6 @@ class FaultPlan:
             or self.latency_spike_prob > 0
             or self.reset_request_prob > 0
             or self.reset_after_requests is not None
-            or self.reset_after_bytes is not None
             or self.client_abort_prob > 0
             or bool(self.server_stalls)
             or bool(self.crash_windows)
@@ -192,7 +185,6 @@ class FaultPlan:
             or self.latency_spike_prob > 0
             or self.reset_request_prob > 0
             or self.reset_after_requests is not None
-            or self.reset_after_bytes is not None
         )
 
     def validate(self) -> "FaultPlan":

@@ -630,11 +630,6 @@ class Connection:
             return
         self._stats.bytes_delivered += nbytes
         self._attribute_delivery(nbytes)
-        if self.faults is not None and self.faults.on_bytes_delivered(nbytes):
-            # Injected reset at a byte offset: the delivered bytes counted,
-            # but the connection dies before the ACK makes it back.
-            self.close()
-            return
         ack = self.env.pooled_timeout(self.link.one_way_latency, nbytes)
         ack.callbacks.append(self._ack_cb)
 

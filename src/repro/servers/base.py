@@ -94,8 +94,6 @@ class ServerLimits:
     #: Maximum requests allowed in service concurrently; extra requests
     #: receive a rejection response instead of being processed.
     max_inflight: Optional[int] = None
-    #: Maximum attached connections; further connects are refused (closed).
-    max_connections: Optional[int] = None
     #: Size in bytes of the rejection response written to shed requests.
     rejection_size: int = 128
     #: Adaptive (AIMD) admission control: when set, the admission gate
@@ -106,10 +104,6 @@ class ServerLimits:
     def __post_init__(self) -> None:
         if self.max_inflight is not None and self.max_inflight < 1:
             raise ServerError(f"max_inflight must be >= 1, got {self.max_inflight!r}")
-        if self.max_connections is not None and self.max_connections < 1:
-            raise ServerError(
-                f"max_connections must be >= 1, got {self.max_connections!r}"
-            )
         if self.rejection_size < 1:
             raise ServerError(f"rejection_size must be >= 1, got {self.rejection_size!r}")
 
@@ -135,7 +129,8 @@ class ServerStats:
         self.responses_written = 0
         #: Times a bounded (Netty-style) write loop gave up and deferred.
         self.spin_jumpouts = 0
-        #: Times the hybrid classifier moved a request type between paths.
+        #: Times the hybrid server's map moved a request type between
+        #: paths (once per move).
         self.reclassifications = 0
         #: Requests shed with a rejection response (ServerLimits.max_inflight).
         self.requests_rejected = 0
@@ -144,7 +139,7 @@ class ServerStats:
         #: Requests refused because their propagated deadline had already
         #: passed on arrival (cheap rejection instead of doomed service).
         self.requests_expired = 0
-        #: Connections refused at attach (ServerLimits.max_connections).
+        #: Connections refused at attach because the server was down.
         self.connections_refused = 0
 
 
@@ -231,24 +226,16 @@ class BaseServer:
     def attach(self, connection: Connection) -> None:
         """Accept an established connection and start serving it.
 
-        When :class:`ServerLimits` caps ``max_connections`` and the cap is
-        reached, the connection is *refused*: closed immediately (the
-        client observes the close) and counted, not raised — refusal is an
-        expected overload outcome, not a programming error.
+        While the server is ``down`` the connection is *refused*: closed
+        immediately (the client observes the close) and counted, not
+        raised — refusal is an expected fault outcome, not a programming
+        error.
         """
         if connection in self.connections:
             raise ServerError("connection already attached")
         if self.down:
             # Crashed instance: nothing is listening, the SYN is answered
-            # with a reset.  Counted as a refusal like the cap path below.
-            self.stats.connections_refused += 1
-            connection.close()
-            return
-        if (
-            self.limits is not None
-            and self.limits.max_connections is not None
-            and len(self.connections) >= self.limits.max_connections
-        ):
+            # with a reset.
             self.stats.connections_refused += 1
             connection.close()
             return

@@ -9,6 +9,10 @@ time, like SO_REUSEPORT sharding.  Each copy keeps the single-threaded
 design's zero-context-switch property; the write-spin problem is *not*
 mitigated (each copy's one thread still runs responses to completion) —
 which is why the paper's hybrid goes a different way.
+
+The copies share the wrapper's :class:`~repro.servers.base.ServerStats`.
+They take no :class:`~repro.servers.base.ServerLimits`: a limit on the
+wrapper would shed nothing, so the micro runner refuses one.
 """
 
 from __future__ import annotations
@@ -42,6 +46,10 @@ class NCopyServer(BaseServer):
             )
             for index in range(copies)
         ]
+        # The copies count into the wrapper's one ServerStats, so the
+        # server reports every request its copies serve.
+        for copy in self.copies:
+            copy.stats = self.stats
         self._next_copy = 0
 
     def _on_attach(self, connection: Connection) -> None:
@@ -50,24 +58,3 @@ class NCopyServer(BaseServer):
         copy = self.copies[self._next_copy]
         self._next_copy = (self._next_copy + 1) % len(self.copies)
         copy.attach(connection)
-
-    # Aggregate stats across copies.
-    @property
-    def requests_completed(self) -> int:
-        return sum(copy.stats.requests_completed for copy in self.copies)
-
-    def aggregate_stats(self) -> dict:
-        """Summed per-copy counters.
-
-        Note: :class:`~repro.servers.base.ServerLimits` set on the wrapper
-        only govern accept-time sharding (``max_connections``); per-copy
-        in-flight shedding requires limits on the copies themselves.
-        """
-        return {
-            "requests_started": sum(c.stats.requests_started for c in self.copies),
-            "requests_completed": sum(c.stats.requests_completed for c in self.copies),
-            "responses_written": sum(c.stats.responses_written for c in self.copies),
-            "requests_rejected": sum(c.stats.requests_rejected for c in self.copies),
-            "requests_aborted": sum(c.stats.requests_aborted for c in self.copies),
-            "connections_refused": sum(c.stats.connections_refused for c in self.copies),
-        }

@@ -12,8 +12,6 @@ overhead that costs it the high-concurrency end of Figure 2.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.errors import ConnectionClosedError
 from repro.net.tcp import Connection
 from repro.servers.base import BaseServer
@@ -26,16 +24,6 @@ class ThreadedServer(BaseServer):
 
     architecture = "sTomcat-Sync"
 
-    def __init__(self, *args, max_threads: Optional[int] = None, **kwargs):
-        """``max_threads`` optionally caps the worker pool (Tomcat's
-        ``maxThreads``); connections beyond the cap wait for a free thread
-        slot before being served.  ``None`` (the default) models the
-        paper's configuration of enough threads for every connection."""
-        super().__init__(*args, **kwargs)
-        self.max_threads = max_threads
-        self._active_threads = 0
-        self._thread_waiters = []
-
     def _on_attach(self, connection: Connection) -> None:
         self.env.process(
             self._connection_loop(connection),
@@ -43,23 +31,9 @@ class ThreadedServer(BaseServer):
         )
 
     # ------------------------------------------------------------------
-    def _acquire_thread_slot(self):
-        """Wait for a worker-thread slot when ``max_threads`` is set."""
-        if self.max_threads is not None and self._active_threads >= self.max_threads:
-            gate = self.env.event()
-            self._thread_waiters.append(gate)
-            yield gate
-        self._active_threads += 1
-
-    def _release_thread_slot(self) -> None:
-        self._active_threads -= 1
-        if self._thread_waiters:
-            self._thread_waiters.pop(0).succeed()
-
-    # ------------------------------------------------------------------
     def _connection_loop(self, connection: Connection):
-        """Dedicated-thread lifecycle for one connection."""
-        yield from self._acquire_thread_slot()
+        """Dedicated-thread lifecycle for one connection (the paper's
+        configuration: enough threads for every connection)."""
         thread = self.cpu.thread(f"{self.name}-worker-c{connection.id}")
         try:
             while not connection.closed:
@@ -82,4 +56,3 @@ class ThreadedServer(BaseServer):
             self._abort_connection(connection)
         finally:
             thread.close()
-            self._release_thread_slot()

@@ -3,8 +3,7 @@
 The v1 partitioner only cuts edges that are plain latency links with no
 teardown traffic: no fault plans (connection kills cross the cut), no
 client retries or resilience policies (deadline-triggered closes and
-budget state are global), no server limits (refused attaches close the
-client half), no autotuning (the forced fast path on cut edges models a
+budget state are global), no server limits, no autotuning (the forced fast path on cut edges models a
 non-autotuned buffer), and no replica groups (the balancer's health
 state spans the apache/tomcat cut).  Anything outside that envelope
 returns 0 — run serial — rather than risk a digest divergence.

@@ -185,17 +185,6 @@ class Event:
         heappush(env._queue, (env._now, priority, next(env._eid), self))
         return self
 
-    def trigger(self, event: "Event") -> None:
-        """Trigger this event with the state (ok/value) of another event.
-
-        Useful as a callback: ``other.callbacks.append(this.trigger)``.
-        """
-        if event._ok:
-            self.succeed(event._value)
-        else:
-            event.defused = True
-            self.fail(event._value)
-
     # ------------------------------------------------------------------
     def __repr__(self) -> str:
         state = "processed" if self.processed else ("triggered" if self.triggered else "pending")
@@ -236,28 +225,18 @@ class ReusableEvent(Event):
 
 
 class Timeout(Event):
-    """An event that triggers automatically ``delay`` time units from now."""
+    """An event that triggers automatically at a set time.
 
-    __slots__ = ("_delay",)
+    Built only by the environment (:meth:`Environment.timeout`,
+    :meth:`Environment.schedule_at` and their pooled forms), which fill
+    the slots directly: timeouts are the single most-allocated object in
+    a simulation (~70% of all events).
+    """
 
-    def __init__(self, env: "Environment", delay: float, value: Any = None):
-        if delay < 0:
-            raise ValueError(f"negative delay {delay!r}")
-        # Inlined Event.__init__ + Environment._schedule: timeouts are the
-        # single most-allocated object in a simulation (~70% of all events).
-        self.env = env
-        self.callbacks = []
-        self._value = value
-        self._ok = True
-        self.defused = False
-        self._cancelled = False
-        self._delay = delay
-        fire_at = env._now + delay
-        self._fire_at = fire_at
-        heappush(env._queue, (fire_at, PRIORITY_NORMAL, next(env._eid), self))
+    __slots__ = ()
 
     def __repr__(self) -> str:
-        return f"<Timeout delay={self._delay!r}>"
+        return f"<Timeout at={self._fire_at!r}>"
 
 
 class _PooledTimeout(Timeout):
@@ -567,8 +546,6 @@ class Environment:
 
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         """Create an event that triggers ``delay`` time units from now."""
-        # Body of Timeout.__init__, inlined to skip one Python call on the
-        # most-allocated object of every simulation — keep them in sync.
         if delay < 0:
             raise ValueError(f"negative delay {delay!r}")
         t = Timeout.__new__(Timeout)
@@ -578,7 +555,6 @@ class Environment:
         t._ok = True
         t.defused = False
         t._cancelled = False
-        t._delay = delay
         fire_at = self._now + delay
         t._fire_at = fire_at
         heappush(self._queue, (fire_at, PRIORITY_NORMAL, next(self._eid), t))
@@ -616,7 +592,6 @@ class Environment:
             t._ok = True
             t.defused = False
             t._cancelled = False
-            t._delay = delay
             fire_at = self._now + delay
             t._fire_at = fire_at
             heappush(self._queue, (fire_at, PRIORITY_NORMAL, next(self._eid), t))
@@ -625,7 +600,6 @@ class Environment:
         t._value = value
         t._ok = True
         t.defused = False
-        t._delay = delay
         if t.callbacks is None:
             t.callbacks = []
         fire_at = self._now + delay
@@ -659,7 +633,6 @@ class Environment:
         t._ok = True
         t.defused = False
         t._cancelled = False
-        t._delay = fire_at - self._now
         t._fire_at = fire_at
         heappush(self._queue, (fire_at, PRIORITY_NORMAL, next(self._eid), t))
         return t
@@ -694,7 +667,6 @@ class Environment:
             t._ok = True
             t.defused = False
             t._cancelled = False
-        t._delay = fire_at - self._now
         t._fire_at = fire_at
         heappush(self._queue, (fire_at, priority, key, t))
         return t

@@ -42,7 +42,8 @@ class RetryPolicy:
     (``backoff_base * backoff_factor ** (attempt - 1)``) with symmetric
     multiplicative ``jitter`` drawn from the client's own seeded RNG, so
     retry schedules are deterministic per seed yet de-synchronised across
-    clients (no retry storms in lockstep).
+    clients (no retry storms in lockstep).  A rejection response from a
+    shedding server is retried within the same bound.
     """
 
     #: Seconds a client waits for a response before giving up on the attempt.
@@ -55,8 +56,6 @@ class RetryPolicy:
     backoff_factor: float = 2.0
     #: Symmetric jitter fraction applied to each back-off (0 disables).
     jitter: float = 0.25
-    #: Whether a server rejection response (load shedding) is retried too.
-    retry_rejections: bool = True
 
     def __post_init__(self) -> None:
         if self.timeout <= 0:
@@ -344,11 +343,7 @@ class ClosedLoopClient:
                     self.stats.rejected += 1
                     if self.recorder is not None:
                         self.recorder.record(request)
-                    if (
-                        not policy.retry_rejections
-                        or attempt > policy.max_retries
-                        or not self._may_retry(deadline_at)
-                    ):
+                    if attempt > policy.max_retries or not self._may_retry(deadline_at):
                         return True
                     self.stats.retries += 1
                     backoff = policy.backoff(attempt, self.rng)

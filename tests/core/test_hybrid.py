@@ -2,8 +2,7 @@
 
 import pytest
 
-from repro.core.classifier import PathCategory
-from repro.core.hybrid import HybridServer
+from repro.core.hybrid import HybridServer, PathCategory
 from repro.net.messages import Request
 
 SMALL = 102
@@ -35,7 +34,7 @@ def test_light_type_switches_to_light_path(env, cpu, make_connection):
     serve(env, server, conn, SMALL, "small")  # warm-up observation
     second = serve(env, server, conn, SMALL, "small")
     assert second.metadata["path"] == "light"
-    assert server.classifier.classify("small") is PathCategory.LIGHT
+    assert server.path_map["small"] is PathCategory.LIGHT
     assert server.light_path_requests == 1
 
 
@@ -46,7 +45,7 @@ def test_heavy_type_stays_on_netty_path(env, cpu, make_connection):
     serve(env, server, conn, LARGE, "big")
     second = serve(env, server, conn, LARGE, "big")
     assert second.metadata["path"] == "heavy"
-    assert server.classifier.classify("big") is PathCategory.HEAVY
+    assert server.path_map["big"] is PathCategory.HEAVY
 
 
 def test_misclassified_light_falls_back_and_reclassifies(env, cpu, make_connection):
@@ -57,15 +56,22 @@ def test_misclassified_light_falls_back_and_reclassifies(env, cpu, make_connecti
     server.attach(conn)
     serve(env, server, conn, SMALL, "page")  # profiled light
     serve(env, server, conn, SMALL, "page")
-    assert server.classifier.classify("page") is PathCategory.LIGHT
+    assert server.path_map["page"] is PathCategory.LIGHT
+    assert server.stats.reclassifications == 0
     grown = serve(env, server, conn, LARGE, "page")  # dataset grew
     assert grown.completed_at is not None
     assert grown.metadata["path"] == "light->heavy"
     assert server.light_path_fallbacks == 1
-    assert server.classifier.classify("page") is PathCategory.HEAVY
+    assert server.path_map["page"] is PathCategory.HEAVY
+    # The fallback and the map flip are one reclassification, not two.
+    assert server.stats.reclassifications == 1
     # Next request of the type goes straight down the heavy path.
     nxt = serve(env, server, conn, LARGE, "page")
     assert nxt.metadata["path"] == "heavy"
+    # It shrinks back: the heavy path's single write flips it once more.
+    serve(env, server, conn, SMALL, "page")
+    assert server.path_map["page"] is PathCategory.LIGHT
+    assert server.stats.reclassifications == 2
 
 
 def test_heavy_type_that_shrinks_reclassifies_to_light(env, cpu, make_connection):
@@ -73,9 +79,11 @@ def test_heavy_type_that_shrinks_reclassifies_to_light(env, cpu, make_connection
     conn = make_connection()
     server.attach(conn)
     serve(env, server, conn, LARGE, "page")
-    assert server.classifier.classify("page") is PathCategory.HEAVY
+    assert server.path_map["page"] is PathCategory.HEAVY
+    assert server.stats.reclassifications == 0
     serve(env, server, conn, SMALL, "page")  # shrank: single write, no spin
-    assert server.classifier.classify("page") is PathCategory.LIGHT
+    assert server.path_map["page"] is PathCategory.LIGHT
+    assert server.stats.reclassifications == 1
 
 
 def test_light_path_skips_pipeline_cost(env, cpu, make_connection, calib):
@@ -95,13 +103,15 @@ def test_light_path_skips_pipeline_cost(env, cpu, make_connection, calib):
     assert light_cost < heavy_cost
 
 
-def test_profiler_records_every_completed_request(env, cpu, make_connection):
+def test_map_keeps_one_entry_per_type(env, cpu, make_connection):
+    """Consistent responses of one type leave one entry and no flip."""
     server = HybridServer(env, cpu)
     conn = make_connection()
     server.attach(conn)
     for _ in range(3):
         serve(env, server, conn, SMALL, "a")
-    assert server.profiler.get("a").observations == 3
+    assert server.path_map == {"a": PathCategory.LIGHT}
+    assert server.stats.reclassifications == 0
 
 
 def test_hybrid_counts_paths(env, cpu, make_connection):

@@ -12,10 +12,12 @@ from repro.experiments.parallel import (
     cached_micro,
     cached_ntier,
     clear_cache,
+    consume_sweep_totals,
     point_digest,
     resolve_jobs,
 )
 from repro.experiments.registry import run_experiment
+from repro.experiments.report import render_sweep_summary
 from repro.net.messages import Request
 from repro.ntier.topology import NTierConfig, run_ntier
 from repro.workload.mixes import RequestMix
@@ -268,7 +270,7 @@ def test_segment_path_results_are_not_served_to_fast_path_runs(tmp_path, monkeyp
 # ----------------------------------------------------------------------
 # Fallbacks
 # ----------------------------------------------------------------------
-def test_unpicklable_points_fall_back_to_serial():
+def _local_mix_points():
     class LocalMix(RequestMix):  # local class: cannot cross processes
         def sample(self, env, rng):
             return Request(env, kind="page", response_size=100)
@@ -276,13 +278,26 @@ def test_unpicklable_points_fall_back_to_serial():
         def kinds(self):
             return ["page"]
 
+    return {c: _tiny(mix=LocalMix(), concurrency=c) for c in (2, 4)}
+
+
+def test_unpicklable_points_fall_back_to_serial():
     executor = SweepExecutor("local", jobs=4, cache_dir=None)
-    results = executor.map_micro(
-        {c: _tiny(mix=LocalMix(), concurrency=c) for c in (2, 4)}
-    )
+    results = executor.map_micro(_local_mix_points())
     assert len(results) == 2
     assert executor.stats.serial_fallbacks == 1
     assert executor.stats.computed == 2
+
+
+def test_sweep_summary_says_a_sweep_fell_back_to_serial():
+    """The fallback reaches the drained totals the CLI prints."""
+    consume_sweep_totals()  # drop accounting left over from earlier tests
+    SweepExecutor("local", jobs=4, cache_dir=None).map_micro(_local_mix_points())
+    totals = consume_sweep_totals()
+    assert totals.serial_fallbacks == 1
+    summary = render_sweep_summary(1.0, totals)
+    assert "1 sweep(s) fell back to serial" in summary
+    assert "fell back" not in render_sweep_summary(1.0, consume_sweep_totals())
 
 
 def test_broken_pool_falls_back_to_serial(monkeypatch):

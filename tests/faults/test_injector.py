@@ -78,14 +78,6 @@ def test_reset_after_requests_counts_arrivals():
     assert inj.connection_resets == 1
 
 
-def test_reset_after_bytes_counts_delivered_bytes():
-    inj = make_injector(FaultPlan(reset_after_bytes=100))
-    conn = inj.for_connection(0)
-    assert conn.on_bytes_delivered(60) is False
-    assert conn.on_bytes_delivered(50) is True  # 110 >= 100
-    assert inj.connection_resets == 1
-
-
 def test_client_abort_hooks():
     inj = make_injector(FaultPlan(client_abort_prob=1.0, client_abort_delay=0.02))
     client = inj.for_client(5)

@@ -33,7 +33,6 @@ def test_plan_is_hashable_and_value_comparable():
         {"rto": 0.0},
         {"rto": -1.0},
         {"reset_after_requests": 0},
-        {"reset_after_bytes": 0},
     ],
 )
 def test_plan_rejects_bad_values(kwargs):
@@ -49,7 +48,6 @@ def test_plan_rejects_bad_values(kwargs):
         {"latency_spike_prob": 0.01},
         {"reset_request_prob": 0.01},
         {"reset_after_requests": 5},
-        {"reset_after_bytes": 1024},
     ],
 )
 def test_connection_faults_enable_both_flags(kwargs):

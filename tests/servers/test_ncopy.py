@@ -35,10 +35,12 @@ def test_requests_served_by_owning_copy(env, cpu, make_connection):
         conn.send_request(request)
         requests.append(request)
     env.run(env.all_of([r.completed for r in requests]))
-    stats = server.aggregate_stats()
-    assert stats["requests_completed"] == 4
-    per_copy = [copy.stats.requests_completed for copy in server.copies]
-    assert per_copy == [2, 2]
+    assert [copy.connections for copy in server.copies] == [
+        connections[0::2], connections[1::2]
+    ]
+    # The copies count into the wrapper's one ServerStats.
+    assert all(copy.stats is server.stats for copy in server.copies)
+    assert server.stats.requests_completed == 4
 
 
 def test_scales_with_cores():

@@ -23,8 +23,6 @@ def test_limits_validation():
     with pytest.raises(ServerError):
         ServerLimits(max_inflight=0)
     with pytest.raises(ServerError):
-        ServerLimits(max_connections=0)
-    with pytest.raises(ServerError):
         ServerLimits(rejection_size=0)
 
 
@@ -65,17 +63,17 @@ def test_admission_slots_are_released(env, cpu, make_connection):
     assert server._inflight == 0
 
 
-def test_connections_beyond_max_are_refused(env, cpu, make_connection):
-    server = ThreadedServer(env, cpu, limits=ServerLimits(max_connections=2))
-    accepted = [make_connection(), make_connection()]
-    for conn in accepted:
-        server.attach(conn)
+def test_attach_to_a_down_server_is_refused(env, cpu, make_connection):
+    server = ThreadedServer(env, cpu)
+    accepted = make_connection()
+    server.attach(accepted)
+    server.down = True
     refused = make_connection()
     server.attach(refused)
     assert refused.closed
-    assert not accepted[0].closed
+    assert not accepted.closed
     assert server.stats.connections_refused == 1
-    assert len(server.connections) == 2
+    assert server.connections == [accepted]
 
 
 def test_midservice_disconnect_counts_an_abort(env, cpu, make_connection):
@@ -106,11 +104,20 @@ def test_no_limits_leaves_requests_unmarked(env, cpu, make_connection):
     assert "rejected" not in request.metadata
 
 
-def test_ncopy_aggregates_degradation_counters(env, cpu):
+def test_ncopy_aggregates_degradation_counters(env, cpu, make_connection):
+    """An abort on one copy shows in the wrapper's stats."""
     from repro.servers.ncopy import NCopyServer
 
-    server = NCopyServer(env, cpu, copies=2)
-    stats = server.aggregate_stats()
-    assert stats["requests_rejected"] == 0
-    assert stats["requests_aborted"] == 0
-    assert stats["connections_refused"] == 0
+    server = NCopyServer(env, cpu, app=SlowApplication(0.1), copies=2)
+    idle, busy = make_connection(), make_connection()
+    server.attach(idle)
+    server.attach(busy)
+    request = Request(env, "x", 10_000)
+    busy.send_request(request)
+    env.run(until=0.05)  # mid-service on the second copy
+    busy.close()
+    env.run(until=0.3)
+    assert request.metadata.get("aborted")
+    assert server.stats.requests_aborted == 1
+    assert server.stats.requests_rejected == 0
+    assert server.stats.connections_refused == 0

@@ -1,7 +1,5 @@
 """Thread-per-connection server specifics."""
 
-import pytest
-
 from repro.net.messages import Request
 from repro.servers.threaded import ThreadedServer
 
@@ -16,28 +14,8 @@ def test_one_live_thread_per_connection(env, cpu, make_connection):
     assert cpu.live_threads == before + 5
 
 
-def test_max_threads_gates_service(env, cpu, make_connection):
-    server = ThreadedServer(env, cpu, max_threads=1)
-    c1, c2 = make_connection(), make_connection()
-    server.attach(c1)
-    server.attach(c2)
-    env.run(until=0.001)
-    # Only one connection got a worker-thread slot.
-    assert server._active_threads == 1
-    r1 = Request(env, "x", 100)
-    c1.send_request(r1)
-    env.run(r1.completed)
-    # The gated connection still cannot serve (its loop holds the slot
-    # request until a slot frees, which never happens here).
-    r2 = Request(env, "x", 100)
-    c2.send_request(r2)
-    env.run(until=env.now + 0.05)
-    assert r2.completed_at is None
-
-
 def test_unlimited_threads_by_default(env, cpu, make_connection):
     server = ThreadedServer(env, cpu)
-    assert server.max_threads is None
     connections = [make_connection() for _ in range(20)]
     for conn in connections:
         server.attach(conn)

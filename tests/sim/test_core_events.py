@@ -82,25 +82,6 @@ def test_processed_event_has_no_callback_list(env):
     assert event.callbacks is None
 
 
-def test_trigger_copies_state_from_other_event(env):
-    source = env.event()
-    target = env.event()
-    source.succeed("payload")
-    target.trigger(source)
-    assert target.triggered
-    assert target.value == "payload"
-
-
-def test_trigger_copies_failure_and_defuses_source(env):
-    source = env.event()
-    target = env.event()
-    source.fail(RuntimeError("bad"))
-    target.trigger(source)
-    target.defused = True
-    assert source.defused
-    assert not target.ok
-
-
 def test_timeout_negative_delay_rejected(env):
     with pytest.raises(ValueError):
         env.timeout(-1.0)

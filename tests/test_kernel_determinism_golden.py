@@ -602,7 +602,7 @@ PINS = {
     'TomcatSync': ('64817baec21d5182', 95580, 6174),
     'TomcatAsync': ('930d4c9a145f2e0d', 189196, 5007),
     'Staged-SEDA': ('91d7f1ba0f6ae288', 159716, 5845),
-    'N-copy': ('a36087814c53a629', 94228, 9150),
+    'N-copy': ('6ac966b70745e43c', 94228, 9150),
     'chaos': ('b2a8d4f61ab880e4', 8836, 515),
     'resilience': ('942f3884640f3bea', 8384, 577),
     'single-sync': ('eda873c29b6be48e', 22732, 96),

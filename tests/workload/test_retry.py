@@ -176,7 +176,7 @@ def test_rejection_without_retry_budget_moves_on(env, cpu, make_connection):
     server.attach(conn)
     client = ClosedLoopClient(
         env, conn, FixedMix(1000), random.Random(0),
-        retry=RetryPolicy(timeout=1.0, retry_rejections=False),
+        retry=RetryPolicy(timeout=1.0, max_retries=0),
     )
     env.run(until=0.1)
     assert client.stats.rejected > 0
