@@ -1,10 +1,10 @@
 """The shared FIFO queue of the simulation kernel.
 
-:class:`Store` is an unbounded (or bounded) FIFO queue of Python objects
-with blocking ``get`` and ``put``, built on :mod:`repro.sim.core` events:
-the event queues between a reactor thread and its workers, a SEDA
-stage's queue, and a connection pool's idle list.  ``get``/``put``
-return events; processes ``yield`` them.
+:class:`Store` is an unbounded FIFO queue of Python objects with a
+blocking ``get``, built on :mod:`repro.sim.core` events: the event queues
+between a reactor thread and its workers, a SEDA stage's queue, and a
+connection pool's idle list.  ``get``/``put`` return events; processes
+``yield`` them.
 """
 
 from __future__ import annotations
@@ -17,38 +17,33 @@ __all__ = ["Store"]
 
 
 class StorePut(Event):
-    """Pending ``put`` into a bounded :class:`Store`."""
+    """A ``put`` into a :class:`Store`; it succeeds at once."""
 
-    def __init__(self, store: "Store", item: Any):
-        super().__init__(store.env)
-        self.item = item
-        store._submit_put(self)
+    __slots__ = ()
 
 
 class StoreGet(Event):
     """Pending ``get`` from a :class:`Store`; succeeds with the item."""
 
-    def __init__(self, store: "Store"):
-        super().__init__(store.env)
-        store._submit_get(self)
+    __slots__ = ()
 
 
 class Store:
-    """FIFO queue of arbitrary items with blocking ``get`` and optional
-    bounded capacity (blocking ``put``).
+    """Unbounded FIFO queue of arbitrary items with a blocking ``get``.
 
     This is the building block for event queues between a reactor thread
-    and worker threads in the simulated servers.
+    and worker threads in the simulated servers.  Each operation is one
+    call: ``put`` stores the item, succeeds its own event and then serves
+    the oldest waiting getter; ``get`` succeeds at once while an item is
+    waiting, and otherwise queues.  So the insertion ids are drawn put
+    first, then getters in FIFO order, and a getter waits only while the
+    store is empty.
     """
 
-    def __init__(self, env: Environment, capacity: float = float("inf")):
-        if capacity <= 0:
-            raise ValueError(f"capacity must be > 0, got {capacity!r}")
+    def __init__(self, env: Environment):
         self.env = env
-        self.capacity = capacity
         self.items: List[Any] = []
         self._getters: List[StoreGet] = []
-        self._putters: List[StorePut] = []
 
     # ------------------------------------------------------------------
     @property
@@ -57,12 +52,24 @@ class Store:
         return len(self.items)
 
     def put(self, item: Any) -> StorePut:
-        """Insert ``item``; the returned event succeeds once inserted."""
-        return StorePut(self, item)
+        """Insert ``item``; the returned event has already succeeded."""
+        event = StorePut(self.env)
+        items = self.items
+        items.append(item)
+        event.succeed()
+        getters = self._getters
+        while getters and items:
+            getters.pop(0).succeed(items.pop(0))
+        return event
 
     def get(self) -> StoreGet:
         """Remove the oldest item; the event succeeds with that item."""
-        return StoreGet(self)
+        event = StoreGet(self.env)
+        if self.items:
+            event.succeed(self.items.pop(0))
+        else:
+            self._getters.append(event)
+        return event
 
     def cancel(self, event: StoreGet) -> bool:
         """Withdraw a still-pending ``get`` claim.
@@ -78,30 +85,5 @@ class Store:
             return False
         return True
 
-    # ------------------------------------------------------------------
-    def _submit_put(self, event: StorePut) -> None:
-        self._putters.append(event)
-        self._drain()
-
-    def _submit_get(self, event: StoreGet) -> None:
-        self._getters.append(event)
-        self._drain()
-
-    def _drain(self) -> None:
-        progress = True
-        while progress:
-            progress = False
-            # Move queued puts into the store while capacity allows.
-            while self._putters and len(self.items) < self.capacity:
-                put = self._putters.pop(0)
-                self.items.append(put.item)
-                put.succeed()
-                progress = True
-            # Serve queued gets while items are available.
-            while self._getters and self.items:
-                get = self._getters.pop(0)
-                get.succeed(self.items.pop(0))
-                progress = True
-
     def __repr__(self) -> str:
-        return f"<Store size={self.size} getters={len(self._getters)} putters={len(self._putters)}>"
+        return f"<Store size={self.size} getters={len(self._getters)}>"

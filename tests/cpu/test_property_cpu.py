@@ -13,6 +13,7 @@ from repro.cpu.accounting import CPUCounters
 from repro.cpu.scheduler import CPU, _Burst
 from repro.errors import InterruptError
 from repro.sim.core import PRIORITY_NORMAL, Environment
+from repro.sim.resources import Store
 
 from tests.helpers import count_calls
 
@@ -293,7 +294,8 @@ class _CountingEnv(Environment):
             self.resume_queued += 1
 
     def _compact(self):
-        # Count the zero-delay core timer the reference heap would hold.
+        # Count what the reference heap would hold: the zero-delay core
+        # timer and the completion's tail.
         self.compactions.append((self._now, len(self._queue) + self._elided))
         super()._compact()
 
@@ -303,6 +305,7 @@ class _CountingEnv(Environment):
 _DURATIONS = (0.0, 50e-6, 100e-6, 100e-6, 2.5e-3)
 _ACTIONS = (
     "none", "spawn", "interrupt", "succeed", "abandon", "open", "close", "slow",
+    "handoff", "poll",
 )
 _SLOWDOWN = 1.0 / (1.0 - 0.3)  # what a DegradeWindow with share 0.3 sets
 
@@ -361,6 +364,20 @@ def _run_scenario(cpu_cls, cores, switch_cost, footprint_free, plans, reached=No
                     return
 
     sleeping = env.process(sleeper())
+    store = Store(env)
+    replies = Store(env)
+
+    def consumer(thread):
+        # The worker side of a reactor hand-off: its get is served by a
+        # put made right after another thread's burst completion, and its
+        # reply is put right after its own.
+        while True:
+            item = yield store.get()
+            trace.append((env.now, "consumer", item))
+            yield thread.run(50e-6)
+            replies.put(item)
+
+    env.process(consumer(cpu.thread("consumer")))
 
     def child(name):
         trace.append((env.now, name, "child"))
@@ -414,6 +431,18 @@ def _run_scenario(cpu_cls, cores, switch_cost, footprint_free, plans, reached=No
                 # Toggle a gray-failure slowdown on and off mid-run.
                 cpu.slowdown = _SLOWDOWN if cpu.slowdown == 1.0 else 1.0
                 reached["slow"] += 1
+            elif action == "handoff":
+                yield store.put(name)
+                reached["handoff"] += 1
+            elif action == "poll":
+                # A get raced against a timer, withdrawn if it loses.
+                get = replies.get()
+                yield env.any_of([get, env.timeout(1e-3)])
+                if get.triggered:
+                    trace.append((env.now, name, "polled", get.value))
+                    reached["polled"] += 1
+                else:
+                    replies.cancel(get)
         # The thread exits while the others may still run: the live count
         # (so the footprint factor) drops, and no core may keep it as its
         # last thread.
@@ -445,8 +474,9 @@ def test_in_place_completion_matches_generator_core():
     assert fired["done_queued"] > 0
     assert fired["resume_queued"] > 0
     # Every branch of the submit path was compared: an inflated footprint
-    # factor, threads opened and closed mid-run, a slowdown, zero length.
-    for branch in ("inflated", "open", "close", "slow", "zero"):
+    # factor, threads opened and closed mid-run, a slowdown, zero length;
+    # and store hand-offs, including a get that won its race.
+    for branch in ("inflated", "open", "close", "slow", "zero", "handoff", "polled"):
         assert fired[branch] > 0, branch
 
 
@@ -477,8 +507,10 @@ def test_in_place_completion_keeps_compaction_timing():
 
 def test_back_to_back_bursts_event_count():
     """10 x 100 us bursts from one thread on an idle core: the switch onto
-    the core, then one quantum timer per burst -- 15 events, where the
-    heap-delivered completion processed 35."""
+    the core, then one quantum timer per burst -- 14 events, where the
+    heap-delivered completion processed 35.  The finished worker's own
+    ``Process`` event is triggered inside the last completion and
+    delivered at its tail, in place, so it is not a heap event."""
     env = Environment()
     cpu = CPU(env, default_calibration(cores=1))
     thread = cpu.thread()
@@ -490,7 +522,7 @@ def test_back_to_back_bursts_event_count():
     env.process(worker())
     env.run()
     assert cpu.counters.bursts == 10
-    assert env.events_processed == 15
+    assert env.events_processed == 14
 
 
 def _repro_calls(n_bursts):

@@ -1,7 +1,5 @@
 """Store semantics."""
 
-import pytest
-
 from repro.sim.resources import Store
 
 
@@ -26,21 +24,6 @@ def test_store_get_blocks_until_put(env):
     env.process(producer(env, store))
     env.run()
     assert get.value == "item"
-
-
-def test_store_bounded_put_blocks(env):
-    store = Store(env, capacity=1)
-    p1 = store.put("a")
-    p2 = store.put("b")
-    assert p1.triggered
-    assert not p2.triggered
-    store.get()
-    assert p2.triggered
-
-
-def test_store_capacity_validation(env):
-    with pytest.raises(ValueError):
-        Store(env, capacity=0)
 
 
 def test_store_size_tracks_items(env):

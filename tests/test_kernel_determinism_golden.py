@@ -594,34 +594,34 @@ LAYERS = {
 #: ``row -> (digest, kernel_events, completed)``.
 PINS = {
     'sTomcat-Sync': ('52848e137ae52a9f', 116014, 8260),
-    'sTomcat-Async': ('f4f335ab15d06eb3', 228865, 6338),
-    'sTomcat-Async-Fix': ('be9a711f6e542118', 173136, 7056),
-    'SingleT-Async': ('49bf955f100b950f', 25594, 121),
-    'NettyServer': ('f5da97e8066577bf', 9999, 160),
-    'HybridNetty': ('fda7226c55fe0c77', 104537, 9039),
+    'sTomcat-Async': ('f4f335ab15d06eb3', 135157, 6338),
+    'sTomcat-Async-Fix': ('be9a711f6e542118', 120141, 7056),
+    'SingleT-Async': ('49bf955f100b950f', 22076, 121),
+    'NettyServer': ('f5da97e8066577bf', 9699, 160),
+    'HybridNetty': ('fda7226c55fe0c77', 100333, 9039),
     'TomcatSync': ('64817baec21d5182', 95580, 6174),
-    'TomcatAsync': ('930d4c9a145f2e0d', 189196, 5007),
-    'Staged-SEDA': ('91d7f1ba0f6ae288', 159716, 5845),
-    'N-copy': ('6ac966b70745e43c', 94228, 9150),
-    'chaos': ('b2a8d4f61ab880e4', 8836, 515),
-    'resilience': ('942f3884640f3bea', 8384, 577),
-    'single-sync': ('eda873c29b6be48e', 22732, 96),
-    'single-chaos': ('f0b6ee95eaf308c7', 29443, 116),
-    'cache': ('8b2628c1f91655c1', 23783, 104),
-    'cache-aside': ('666b65483b989649', 22640, 97),
-    'single-replica1-cache': ('39764cbe8a2baaa5', 24266, 97),
-    'failover': ('07e658e8b8aed014', 38291, 168),
-    'hedged': ('236dde74b1831ad1', 29225, 168),
-    'replica-deadline': ('f12bf05adf6146ab', 243529, 1604),
-    'cohort-chaos': ('2693214bf41c8151', 61601, 4859),
-    'cohort-idle': ('96bad04fe973853d', 4495, 340),
-    'dag-fanout': ('ff8904560501a0cd', 21315, 119),
-    'dag-quorum': ('6b119fd9c5b10aa4', 26913, 162),
-    'dag-sync-replica': ('995c515d8681c9de', 86737, 603),
-    'write-spin': ('d58298c6d2762402', 33832, 138),
-    'cohort-200k': ('2b2bf77b5081e03d', 27837, 1950),
-    'cohort-fixed-think': ('46795e7fdd0736f7', 178745, 5621),
-    'dag-wait-all': ('2641a73b7882b314', 61257, 534),
+    'TomcatAsync': ('930d4c9a145f2e0d', 116946, 5007),
+    'Staged-SEDA': ('91d7f1ba0f6ae288', 111641, 5845),
+    'N-copy': ('6ac966b70745e43c', 89962, 9150),
+    'chaos': ('b2a8d4f61ab880e4', 8774, 515),
+    'resilience': ('942f3884640f3bea', 8335, 577),
+    'single-sync': ('eda873c29b6be48e', 21791, 96),
+    'single-chaos': ('f0b6ee95eaf308c7', 25109, 116),
+    'cache': ('8b2628c1f91655c1', 20195, 104),
+    'cache-aside': ('666b65483b989649', 21851, 97),
+    'single-replica1-cache': ('39764cbe8a2baaa5', 20635, 97),
+    'failover': ('07e658e8b8aed014', 33172, 168),
+    'hedged': ('236dde74b1831ad1', 27977, 168),
+    'replica-deadline': ('f12bf05adf6146ab', 202207, 1604),
+    'cohort-chaos': ('2693214bf41c8151', 60910, 4859),
+    'cohort-idle': ('96bad04fe973853d', 4487, 340),
+    'dag-fanout': ('ff8904560501a0cd', 20076, 119),
+    'dag-quorum': ('6b119fd9c5b10aa4', 24791, 162),
+    'dag-sync-replica': ('995c515d8681c9de', 81770, 603),
+    'write-spin': ('d58298c6d2762402', 29383, 138),
+    'cohort-200k': ('2b2bf77b5081e03d', 27786, 1950),
+    'cohort-fixed-think': ('46795e7fdd0736f7', 124881, 5621),
+    'dag-wait-all': ('2641a73b7882b314', 54849, 534),
 }
 
 
