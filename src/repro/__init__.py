@@ -25,45 +25,54 @@ Quickstart::
     print(result.throughput, result.report.write_calls_per_request)
 """
 
-from repro.calibration import Calibration, DEFAULT_CALIBRATION, default_calibration
-from repro.core import HybridServer, PathCategory
-from repro.cpu import CPU, SimThread
-from repro.errors import ReproError
-from repro.faults import FAULT_PRESETS, FaultInjector, FaultPlan, FaultReport, StallWindow
-from repro.experiments import (
-    EXPERIMENTS,
-    ArtifactResult,
-    MicroConfig,
-    MicroResult,
-    render_artifact,
-    run_experiment,
-    run_micro,
-)
-from repro.metrics import RunRecorder, RunReport, SummaryStats
-from repro.net import Connection, Link, Request, Selector
-from repro.ntier import NTierConfig, ThreeTierSystem, run_ntier
-from repro.servers import (
-    BaseServer,
-    ComputeApplication,
-    NettyServer,
-    ReactorFixServer,
-    ReactorServer,
-    ServerLimits,
-    SingleThreadedServer,
-    ThreadedServer,
-    TomcatAsyncServer,
-    TomcatSyncServer,
-)
-from repro.sim import Environment, SeedStreams
-from repro.workload import (
-    BimodalMix,
-    ClosedLoopClient,
-    FixedMix,
-    RetryPolicy,
-    RubbosMix,
-    ZipfMix,
-    build_population,
-)
+import importlib
+
+#: Where each re-exported name lives.  A name is imported on first access
+#: (PEP 562 module ``__getattr__``), so ``import repro`` loads only the
+#: modules a program then uses: a simulation run never loads the sweep
+#: executor, the artifact registry or :mod:`multiprocessing`.
+_HOMES = {
+    "repro.calibration": ("Calibration", "DEFAULT_CALIBRATION", "default_calibration"),
+    "repro.core": ("HybridServer", "PathCategory"),
+    "repro.cpu": ("CPU", "SimThread"),
+    "repro.errors": ("ReproError",),
+    "repro.faults": ("FAULT_PRESETS", "FaultInjector", "FaultPlan", "FaultReport", "StallWindow"),
+    "repro.experiments": (
+        "EXPERIMENTS",
+        "ArtifactResult",
+        "MicroConfig",
+        "MicroResult",
+        "render_artifact",
+        "run_experiment",
+        "run_micro",
+    ),
+    "repro.metrics": ("RunRecorder", "RunReport", "SummaryStats"),
+    "repro.net": ("Connection", "Link", "Request", "Selector"),
+    "repro.ntier": ("NTierConfig", "ThreeTierSystem", "run_ntier"),
+    "repro.servers": (
+        "BaseServer",
+        "ComputeApplication",
+        "NettyServer",
+        "ReactorFixServer",
+        "ReactorServer",
+        "ServerLimits",
+        "SingleThreadedServer",
+        "ThreadedServer",
+        "TomcatAsyncServer",
+        "TomcatSyncServer",
+    ),
+    "repro.sim": ("Environment", "SeedStreams"),
+    "repro.workload": (
+        "BimodalMix",
+        "ClosedLoopClient",
+        "FixedMix",
+        "RetryPolicy",
+        "RubbosMix",
+        "ZipfMix",
+        "build_population",
+    ),
+}
+_HOME = {name: module for module, names in _HOMES.items() for name in names}
 
 __version__ = "1.0.0"
 
@@ -119,3 +128,18 @@ __all__ = [
     "ZipfMix",
     "build_population",
 ]
+
+
+def __getattr__(name: str):
+    """Import a re-exported name on first access and keep it."""
+    try:
+        module = _HOME[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -35,6 +35,8 @@ class SendBuffer:
     over-committed until ACKs drain it.
     """
 
+    __slots__ = ("_capacity", "_used", "_closed", "_space_waiters", "on_park")
+
     def __init__(self, capacity: int):
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity!r}")

@@ -135,9 +135,11 @@ class ReactorServer(BaseServer):
             except ConnectionClosedError:
                 # Client disconnected mid-flow: account the abort; the
                 # selector drops closed connections lazily, so there is
-                # nothing to re-register.
-                connection = payload if isinstance(payload, Connection) else payload[0]
-                self._abort_connection(connection)
+                # nothing to re-register.  No local keeps the connection:
+                # this worker may idle long before its next item.
+                self._abort_connection(
+                    payload if isinstance(payload, Connection) else payload[0]
+                )
                 continue
 
     def _handle_extra(self, thread, kind, payload):

@@ -60,9 +60,11 @@ class _Stage:
                 yield from handler(thread, item)
             except ConnectionClosedError:
                 # A mid-stage disconnect must not kill the stage worker —
-                # account the abort and keep draining the queue.
-                connection = item if isinstance(item, Connection) else item[0]
-                self.server._abort_connection(connection)
+                # account the abort and keep draining the queue.  No local
+                # keeps the connection while the worker waits.
+                self.server._abort_connection(
+                    item if isinstance(item, Connection) else item[0]
+                )
 
 
 class StagedServer(BaseServer):

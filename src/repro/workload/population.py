@@ -63,10 +63,18 @@ class ConnectionOptions:
 
 @dataclass
 class Population:
-    """A built classic population: one client and connection per member."""
+    """A built classic population: one client per member."""
 
     clients: List[ClosedLoopClient]
-    connections: List[Connection]
+
+    @property
+    def connections(self) -> List[Connection]:
+        """Each client's current connection.
+
+        Read from the clients, so a connection a client replaced after a
+        reset is not kept alive here.
+        """
+        return [client.connection for client in self.clients]
 
     def client_stat_totals(self) -> Dict[str, float]:
         """Summed :class:`ClientStats` counters in one pass over clients."""
@@ -163,7 +171,7 @@ def build_population(
                 connect=connect,
             )
 
-    population = Population(clients=[], connections=[])
+    population = Population(clients=[])
 
     def _connect(index: int) -> Connection:
         if connect is not None:
@@ -211,7 +219,6 @@ def build_population(
             deadline=deadline,
         )
         population.clients.append(client)
-        population.connections.append(connection)
 
     for index in range(size):
         _spawn(index, (ramp_up * index / size) if ramp_up > 0 else 0.0)

@@ -1,7 +1,11 @@
 """Public API surface checks."""
 
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +19,32 @@ def test_version_is_set():
 def test_all_exports_resolve():
     for name in repro.__all__:
         assert hasattr(repro, name), name
+
+
+def test_import_loads_only_what_a_run_uses():
+    """A fresh ``import repro, repro.experiments.micro`` (what a run
+    imports) leaves the sweep executor, the artifact registry and the
+    process-pool modules unloaded: re-exported names resolve on first
+    access."""
+    unwanted = (
+        "repro.experiments.registry",
+        "repro.experiments.parallel",
+        "multiprocessing",
+        "concurrent.futures",
+    )
+    code = (
+        "import sys, repro, repro.experiments.micro\n"
+        f"print([name for name in {unwanted!r} if name in sys.modules])\n"
+    )
+    src = Path(repro.__file__).resolve().parent.parent
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "[]"
 
 
 def test_subpackage_all_exports_resolve():
